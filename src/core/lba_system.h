@@ -74,12 +74,6 @@ class LbaSystem : public sim::RetireObserver
         return timer_.stats();
     }
 
-    /** Log-buffer occupancy statistics (quiescent-read snapshot). */
-    log::LogBufferStats bufferStats() const
-    {
-        return timer_.bufferStats(0);
-    }
-
     /** Per-event-type dispatch statistics (quiescent-read snapshot). */
     lifeguard::DispatchStats
     dispatchStats() const LBA_COORDINATOR_ONLY

@@ -95,8 +95,7 @@ ParallelLbaSystem::finish()
         stats_.shard_transport_bytes[s] = timer_->laneTransportBytes(s);
         stats_.shard_transport_wait_cycles[s] =
             timer_->laneTransportWaitCycles(s);
-        stats_.shard_max_occupancy[s] =
-            timer_->bufferStats(s).max_occupancy;
+        stats_.shard_max_occupancy[s] = timer_->laneMaxOccupancy(s);
     }
 }
 

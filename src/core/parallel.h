@@ -129,12 +129,6 @@ class ParallelLbaSystem : public sim::RetireObserver
     /** The shard lifeguard instances (containment watch list). */
     std::vector<const lifeguard::Lifeguard*> shardLifeguards() const;
 
-    /** One shard's log-buffer occupancy statistics (snapshot). */
-    log::LogBufferStats bufferStats(unsigned shard) const
-    {
-        return timer_->bufferStats(shard);
-    }
-
     /** One shard's per-event-type dispatch statistics (snapshot). */
     lifeguard::DispatchStats
     dispatchStats(unsigned shard) const LBA_COORDINATOR_ONLY

@@ -164,10 +164,10 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // by the producing application, even when the occupying record
     // belongs to another tenant. A lane hosting several folded shard
     // contexts may need multiple slots for one logical record.
-    LBA_ASSERT(needed <= lane.buffer.capacity(),
+    LBA_ASSERT(needed <= lane.slots.capacity(),
                "lane buffer smaller than one record's consumptions");
-    if (lane.slot_finish.size() + lane.pending + needed >
-        lane.buffer.capacity()) {
+    if (lane.slots.size() + lane.pending + needed >
+        lane.slots.capacity()) {
         // A queued-but-unconsumed record occupies a slot whose finish
         // time is not known yet: catch the whole queue up first (in
         // arrival order, so the interleaving stays identical to the
@@ -175,23 +175,15 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
         // point on that path too).
         flushPending();
     }
-    std::size_t freed = 0;
-    while (lane.slot_finish.size() + needed > lane.buffer.capacity()) {
-        Cycles freed_at = lane.slot_finish.front();
-        lane.slot_finish.pop_front();
+    while (lane.slots.size() + needed > lane.slots.capacity()) {
+        Cycles freed_at = lane.slots.pop();
         if (producer.app_time < freed_at) {
             Cycles stall = freed_at - producer.app_time;
             stats_.backpressure_stall_cycles += stall;
             producer.stats.backpressure_stall_cycles += stall;
             producer.app_time = freed_at;
         }
-        ++freed;
     }
-    // The functional buffer mirrors the slot accounting. The
-    // coordinator owns the consumer side of every lane ring (workers
-    // receive record spans, never the ring).
-    lane.buffer.assumeConsumer();
-    lane.buffer.popN(freed);
 }
 
 void
@@ -200,11 +192,8 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
                          const EventRecord& record, Cycles produced_at,
                          double record_bytes)
 {
-    // The coordinator owns the producer side of every lane ring too:
-    // records enter on the logging thread.
-    lane.buffer.assumeProducer();
-    bool pushed = lane.buffer.push(record, produced_at);
-    LBA_ASSERT(pushed, "buffer full after slot accounting");
+    lane.max_occupancy = std::max<std::uint64_t>(
+        lane.max_occupancy, lane.slots.size() + lane.pending + 1);
 
     if (config_.dispatch_tier != DispatchTier::kPerRecord) {
         PendingMeta meta;
@@ -267,7 +256,7 @@ PipelineTimer::applyRecordTiming(Producer& producer, Lane& lane,
     lane.busy_cycles += cost;
     producer.stats.lifeguard_busy_cycles += cost;
     producer.drain_clock = std::max(producer.drain_clock, lane.last_finish);
-    lane.slot_finish.push_back(lane.last_finish);
+    lane.slots.push(lane.last_finish);
     ++lane.records;
 
     if (consume_observer_) {
@@ -671,13 +660,6 @@ PipelineTimer::producerTime(unsigned producer) const
     return producers_[producer].app_time;
 }
 
-log::LogBufferStats
-PipelineTimer::bufferStats(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    return lanes_[lane].buffer.stats();
-}
-
 lifeguard::DispatchStats
 PipelineTimer::dispatchStats(unsigned lane) const
 {
@@ -719,6 +701,13 @@ PipelineTimer::laneRecords(unsigned lane) const
     syncConst();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].records;
+}
+
+std::uint64_t
+PipelineTimer::laneMaxOccupancy(unsigned lane) const
+{
+    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
+    return lanes_[lane].max_occupancy;
 }
 
 double

@@ -21,10 +21,14 @@
  *
  * The lane-L buffer slot for record i frees when the lane's record
  * i-capacity finishes, so a lifeguard that cannot keep up eventually
- * stalls the application. Syscall containment stalls the application at
- * the first retirement after a syscall until every record the application
- * logged so far has been consumed — including the annotation records the
- * syscall itself emitted.
+ * stalls the application. That stall is the only way the buffer
+ * affects timing, so a lane models its buffer as nothing more than a
+ * fixed-capacity ring of the finish times of the records occupying
+ * it (plus a count of records queued but not yet consumed). Syscall
+ * containment stalls the application at the first retirement after a
+ * syscall until every record the application logged so far has been
+ * consumed — including the annotation records the syscall itself
+ * emitted.
  *
  * With a single lane this is exactly the paper's dual-core recurrence
  * (core/lba_system.h); with N lanes it is the parallel-lifeguard
@@ -86,7 +90,6 @@
  */
 
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -97,7 +100,6 @@
 #include "compress/registry.h"
 #include "core/threaded_executor.h"
 #include "lifeguard/dispatch.h"
-#include "log/log_buffer.h"
 #include "mem/hierarchy.h"
 #include "sim/process.h"
 #include "stats/counter.h"
@@ -444,9 +446,8 @@ class PipelineTimer
         consume_observer_ = std::move(observer);
     }
 
-    /** Quiescent-read snapshots (by value: the underlying counters
-     *  live in side-owned structs; see LogBufferStats/DispatchStats). */
-    log::LogBufferStats bufferStats(unsigned lane) const;
+    /** Quiescent-read snapshot (by value: the underlying counters live
+     *  in side-owned structs; see DispatchStats). */
     lifeguard::DispatchStats dispatchStats(unsigned lane) const
         LBA_COORDINATOR_ONLY;
     lifeguard::Lifeguard& lifeguard(unsigned lane) const
@@ -458,6 +459,9 @@ class PipelineTimer
     Cycles laneBusyCycles(unsigned lane) const LBA_COORDINATOR_ONLY;
     /** Records this lane consumed (broadcasts count in every lane). */
     std::uint64_t laneRecords(unsigned lane) const LBA_COORDINATOR_ONLY;
+    /** Peak buffer occupancy of this lane, in records (consumed
+     *  records still holding a slot plus queued ones). */
+    std::uint64_t laneMaxOccupancy(unsigned lane) const;
     /** Mean produce-to-consume lag of this lane's records. */
     double laneMeanConsumeLag(unsigned lane) const LBA_COORDINATOR_ONLY;
     /** Bytes that crossed this lane's transport link. */
@@ -473,13 +477,54 @@ class PipelineTimer
     }
 
   private:
+    /** Fixed-capacity FIFO of the finish times of consumed records
+     *  still holding a lane's buffer slots, oldest first. */
+    class FinishRing
+    {
+      public:
+        explicit FinishRing(std::size_t capacity) : slots_(capacity)
+        {
+            LBA_ASSERT(capacity > 0, "lane buffer capacity must be "
+                                     "positive");
+        }
+
+        std::size_t capacity() const { return slots_.size(); }
+        std::size_t size() const { return size_; }
+
+        void
+        push(Cycles finish)
+        {
+            LBA_ASSERT(size_ < slots_.size(),
+                       "lane buffer full after slot accounting");
+            std::size_t tail = head_ + size_;
+            if (tail >= slots_.size()) tail -= slots_.size();
+            slots_[tail] = finish;
+            ++size_;
+        }
+
+        /** Remove and return the oldest finish time (size() > 0). */
+        Cycles
+        pop()
+        {
+            Cycles finish = slots_[head_];
+            if (++head_ == slots_.size()) head_ = 0;
+            --size_;
+            return finish;
+        }
+
+      private:
+        std::vector<Cycles> slots_;
+        std::size_t head_ = 0;
+        std::size_t size_ = 0;
+    };
+
     struct Lane
     {
         lifeguard::Lifeguard* lifeguard = nullptr;
         std::unique_ptr<lifeguard::DispatchEngine> dispatch;
-        log::LogBuffer buffer;
-        /** finish times of records still occupying buffer slots. */
-        std::deque<Cycles> slot_finish;
+        /** The lane's log buffer: occupancy is slots.size() +
+         *  pending, never above slots.capacity(). */
+        FinishRing slots;
         /** finish(i-1) of this lane's most recent record. */
         Cycles last_finish = 0;
         /** Cycle at which the lane transport delivers its last byte. */
@@ -494,8 +539,10 @@ class PipelineTimer
         std::uint64_t records = 0;
         /** Records queued for batched dispatch but not yet consumed. */
         std::size_t pending = 0;
+        /** Peak of slots.size() + pending. */
+        std::uint64_t max_occupancy = 0;
 
-        explicit Lane(std::size_t capacity) : buffer(capacity) {}
+        explicit Lane(std::size_t capacity) : slots(capacity) {}
     };
 
     /** One monitored application feeding the shared lanes. */
@@ -539,9 +586,9 @@ class PipelineTimer
                       std::size_t needed) LBA_COORDINATOR_ONLY;
 
     /**
-     * Deliver one record to one lane: push it into the lane buffer,
-     * then either consume it immediately (per-record path) or queue it
-     * for the next batched flush.
+     * Deliver one record to one lane (its slot is already reserved):
+     * either consume it immediately (per-record path) or queue it for
+     * the next batched flush.
      */
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,

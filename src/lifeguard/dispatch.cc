@@ -101,22 +101,8 @@ DispatchEngine::consumeBatch(const log::EventRecord* records,
 }
 
 Cycles
-DispatchEngine::consumeBatch(
-    std::span<const log::LogBuffer::Entry> entries, Cycles* costs)
-{
-    ++functional_.batches;
-    Cycles total = 0;
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-        Cycles cycles = dispatchOne(entries[i].record);
-        if (costs) costs[i] = cycles;
-        total += cycles;
-    }
-    return total;
-}
-
-template <typename RecordAt>
-Cycles
-DispatchEngine::fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
+DispatchEngine::fusedDrain(const log::EventRecord* records,
+                           std::size_t count, Cycles* costs)
 {
     Cycles total = 0;
     if (compiled_.all_const) {
@@ -125,7 +111,7 @@ DispatchEngine::fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
         // the stat updates, with no call of any kind. This is the bulk
         // fast path the micro_dispatch >= 2x claim measures.
         for (std::size_t i = 0; i < count; ++i) {
-            const auto t = static_cast<std::size_t>(at(i).type);
+            const auto t = static_cast<std::size_t>(records[i].type);
             const Cycles cycles = config_.dispatch_cycles +
                                   compiled_.handlers[t].const_cycles;
             if (costs) costs[i] = cycles;
@@ -140,9 +126,9 @@ DispatchEngine::fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
     std::size_t i = 0;
     while (i < count) {
         // Maximal same-event-type run [i, j).
-        const log::EventType type = at(i).type;
+        const log::EventType type = records[i].type;
         std::size_t j = i + 1;
-        while (j < count && at(j).type == type) ++j;
+        while (j < count && records[j].type == type) ++j;
         const auto t = static_cast<std::size_t>(type);
         const CompiledHandler& handler = compiled_.handlers[t];
         if (handler.kind != CompiledHandler::Kind::kProgram) {
@@ -163,7 +149,7 @@ DispatchEngine::fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
         } else {
             ir::DirectCost cost(hierarchy_, config_.core);
             for (std::size_t k = i; k < j; ++k) {
-                const log::EventRecord& record = at(k);
+                const log::EventRecord& record = records[k];
                 runIrProgram(*handler.program, lifeguard_, record, cost);
                 const Cycles cycles =
                     config_.dispatch_cycles + cost.take();
@@ -185,26 +171,7 @@ DispatchEngine::consumeBatchFused(const log::EventRecord* records,
     // behaviour (and its cost), so fall through to it.
     if (!fused_) return consumeBatch(records, count, costs);
     ++functional_.batches;
-    return fusedDrain(
-        count,
-        [records](std::size_t i) -> const log::EventRecord& {
-            return records[i];
-        },
-        costs);
-}
-
-Cycles
-DispatchEngine::consumeBatchFused(
-    std::span<const log::LogBuffer::Entry> entries, Cycles* costs)
-{
-    if (!fused_) return consumeBatch(entries, costs);
-    ++functional_.batches;
-    return fusedDrain(
-        entries.size(),
-        [entries](std::size_t i) -> const log::EventRecord& {
-            return entries[i].record;
-        },
-        costs);
+    return fusedDrain(records, count, costs);
 }
 
 namespace {

@@ -34,12 +34,11 @@
  */
 
 #include <array>
-#include <span>
 
 #include "common/thread_annotations.h"
 #include "lifeguard/compiler.h"
 #include "lifeguard/lifeguard.h"
-#include "log/log_buffer.h"
+#include "log/event.h"
 #include "mem/hierarchy.h"
 #include "stats/histogram.h"
 
@@ -177,15 +176,6 @@ class DispatchEngine
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
     /**
-     * Drain a log-buffer span (see log::LogBuffer::frontSpan) through
-     * the handler table. The caller still pops the buffer.
-     * @return Total cycles across the batch.
-     */
-    Cycles consumeBatch(std::span<const log::LogBuffer::Entry> entries,
-                        Cycles* costs = nullptr)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
      * Drain a contiguous record batch through the fused tier: the
      * batch is scanned for maximal same-event-type runs and each run
      * is drained through the loop compiled from the lifeguard's IR
@@ -199,16 +189,6 @@ class DispatchEngine
      */
     Cycles consumeBatchFused(const log::EventRecord* records,
                              std::size_t count, Cycles* costs = nullptr)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Fused drain of a log-buffer span (see log::LogBuffer::frontSpan).
-     * The caller still pops the buffer.
-     * @return Total cycles across the batch.
-     */
-    Cycles
-    consumeBatchFused(std::span<const log::LogBuffer::Entry> entries,
-                      Cycles* costs = nullptr)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
     /**
@@ -325,12 +305,11 @@ class DispatchEngine
     Cycles dispatchOne(const log::EventRecord& record)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
-    /** The fused serial drain loop (see consumeBatchFused), templated
-     *  over the record accessor so the pointer and log-buffer-span
-     *  entry points share one body. Carries the same capability
-     *  requirements as the serial batched loops it replaces. */
-    template <typename RecordAt>
-    Cycles fusedDrain(std::size_t count, RecordAt at, Cycles* costs)
+    /** The fused serial drain loop (see consumeBatchFused). Carries
+     *  the same capability requirements as the serial batched loops
+     *  it replaces. */
+    Cycles fusedDrain(const log::EventRecord* records, std::size_t count,
+                      Cycles* costs)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
     /** Fold one consumed record into the statistics (serial paths:

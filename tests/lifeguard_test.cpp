@@ -295,30 +295,6 @@ TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
     EXPECT_EQ(batched_guard.alu_events, record_guard.alu_events);
 }
 
-TEST(HandlerTable, LogBufferSpanDrain)
-{
-    // The frontSpan/consumeBatch/popN drain loop — the shape the
-    // micro_dispatch bench and the timing engine use.
-    log::LogBuffer buffer(32);
-    for (int i = 0; i < 20; ++i) {
-        log::EventRecord rec;
-        rec.type = log::EventType::kIntAlu;
-        buffer.push(rec, static_cast<Cycles>(i));
-    }
-    TableLifeguard guard;
-    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-    DispatchEngine engine(guard, hierarchy, {1, 1});
-    while (!buffer.empty()) {
-        auto span = buffer.frontSpan(8);
-        engine.consumeBatch(span);
-        buffer.popN(span.size());
-    }
-    EXPECT_EQ(guard.alu_events, 20);
-    EXPECT_EQ(engine.stats().records, 20u);
-    // dispatch(1) + instrs(3) per record.
-    EXPECT_EQ(engine.stats().total_cycles, 20u * 4u);
-}
-
 TEST(HandlerTable, LegacyLifeguardFallsBackToVirtualDispatch)
 {
     // A lifeguard that never registered handlers must still work

@@ -2,7 +2,8 @@
  * @file
  * Direct tests of the shared timing engine (core::PipelineTimer): exact
  * transport-ceiling delivery, syscall-containment drain ordering,
- * per-lane finish cost, per-lane back-pressure and buffer statistics.
+ * per-lane finish cost, per-lane back-pressure, buffer occupancy and
+ * the lane's finish-time ring wrapping.
  *
  * These tests drive the engine with hand-built records and a
  * fixed-cost lifeguard so every cycle count is computable by hand; the
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <thread>
+#include <vector>
 
 #include "core/pipeline_timer.h"
 #include "lifeguard/lifeguard.h"
@@ -184,10 +186,101 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     timer.log(aluRecord(), 0);
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
 
-    const log::LogBufferStats& bstats = timer.bufferStats(0);
-    EXPECT_EQ(bstats.pushes, 3u);
-    EXPECT_EQ(bstats.pops, 1u);
-    EXPECT_EQ(bstats.max_occupancy, 2u);
+    EXPECT_EQ(timer.laneRecords(0), 3u);
+    EXPECT_EQ(timer.laneMaxOccupancy(0), 2u);
+}
+
+/** What the wrap-around scenario below observes, per dispatch tier. */
+struct WrapObservation
+{
+    /** The app clock right after each log() call. */
+    std::vector<Cycles> app_after_log;
+    Cycles stall = 0;
+    std::uint64_t max_occupancy = 0;
+    std::uint64_t records = 0;
+    Cycles last_finish = 0;
+    std::vector<Cycles> folded_app_after_log;
+    Cycles folded_stall = 0;
+    std::uint64_t folded_max_occupancy = 0;
+    std::uint64_t folded_records = 0;
+    Cycles folded_last_finish = 0;
+};
+
+WrapObservation
+runWrapAround(DispatchTier tier)
+{
+    WrapObservation seen;
+    mem::CacheHierarchy hierarchy(cores(2));
+    LbaConfig config;
+    config.dispatch_tier = tier;
+    config.buffer_capacity = 3;
+    FixedCostLifeguard guard(10); // consume cost = 11
+    {
+        // Twelve records through three slots: the ring wraps four
+        // times. Every fourth record the app clock first advances by
+        // 20 cycles (charged as containment work), so some records
+        // find their slot already free and others stall.
+        PipelineTimer timer(hierarchy, config, {&guard});
+        for (int i = 0; i < 12; ++i) {
+            if (i > 0 && i % 4 == 0) timer.chargeContainment(0, 20);
+            timer.log(aluRecord(), 0);
+            seen.app_after_log.push_back(timer.producerTime(0));
+        }
+        seen.stall = timer.stats().backpressure_stall_cycles;
+        seen.max_occupancy = timer.laneMaxOccupancy(0);
+        seen.records = timer.laneRecords(0);
+        seen.last_finish = timer.laneLastFinish(0);
+    }
+    {
+        // External dispatch: one shard engine folded twice onto a
+        // capacity-2 lane, so each record needs both slots at once.
+        config.buffer_capacity = 2;
+        PipelineTimer timer(hierarchy, config, 1u);
+        lifeguard::DispatchEngine engine(guard, hierarchy, {1, 1});
+        timer.log(0, aluRecord(), {{0, &engine}, {0, &engine}});
+        seen.folded_app_after_log.push_back(timer.producerTime(0));
+        timer.log(0, aluRecord(), {{0, &engine}, {0, &engine}});
+        seen.folded_app_after_log.push_back(timer.producerTime(0));
+        timer.log(0, aluRecord(), {{0, &engine}});
+        seen.folded_app_after_log.push_back(timer.producerTime(0));
+        seen.folded_stall = timer.stats().backpressure_stall_cycles;
+        seen.folded_max_occupancy = timer.laneMaxOccupancy(0);
+        seen.folded_records = timer.laneRecords(0);
+        seen.folded_last_finish = timer.laneLastFinish(0);
+    }
+    return seen;
+}
+
+TEST(PipelineTimer, FinishRingWrapsWithExactStalls)
+{
+    for (DispatchTier tier :
+         {DispatchTier::kPerRecord, DispatchTier::kBatched}) {
+        SCOPED_TRACE(tier == DispatchTier::kPerRecord ? "per-record"
+                                                      : "batched");
+        WrapObservation seen = runWrapAround(tier);
+        // Records finish every 11 cycles (11, 22, ..., 132). Record i
+        // waits for the slot record i-3 held to free: records 3, 6, 7,
+        // 10 and 11 stall 11 cycles each, records 5 and 9 only 2 (the
+        // 20-cycle advance covered the rest), records 4 and 8 not at
+        // all.
+        const std::vector<Cycles> app_after_log = {
+            0, 0, 0, 11, 31, 33, 44, 55, 75, 77, 88, 99};
+        EXPECT_EQ(seen.app_after_log, app_after_log);
+        EXPECT_EQ(seen.stall, 59u); // 99 = 40 advanced + 59 stalled
+        EXPECT_EQ(seen.max_occupancy, 3u);
+        EXPECT_EQ(seen.records, 12u);
+        EXPECT_EQ(seen.last_finish, 132u);
+        // Folded lane: the first record's two consumptions finish at
+        // 11 and 22; the second waits for both slots (stall 22) and
+        // finishes at 33 and 44; the third needs one slot, freed at
+        // 33 (stall 11), and finishes at 55.
+        const std::vector<Cycles> folded_app_after_log = {0, 22, 33};
+        EXPECT_EQ(seen.folded_app_after_log, folded_app_after_log);
+        EXPECT_EQ(seen.folded_stall, 33u);
+        EXPECT_EQ(seen.folded_max_occupancy, 2u);
+        EXPECT_EQ(seen.folded_records, 5u);
+        EXPECT_EQ(seen.folded_last_finish, 55u);
+    }
 }
 
 TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
@@ -202,8 +295,6 @@ TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
     EXPECT_EQ(timer.stats().records_logged, 1u);
     EXPECT_EQ(timer.laneRecords(0), 1u);
     EXPECT_EQ(timer.laneRecords(1), 1u);
-    EXPECT_EQ(timer.bufferStats(0).pushes, 1u);
-    EXPECT_EQ(timer.bufferStats(1).pushes, 1u);
     // Each lane's clock advances by its own consume cost.
     EXPECT_EQ(timer.laneLastFinish(0), 3u);
     EXPECT_EQ(timer.laneLastFinish(1), 8u);
@@ -229,7 +320,7 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     EXPECT_EQ(timer.stats().records_filtered, 1u);
     EXPECT_EQ(timer.stats().records_logged, 0u);
     EXPECT_EQ(timer.stats().transport_bytes, 0.0);
-    EXPECT_EQ(timer.bufferStats(0).pushes, 0u);
+    EXPECT_EQ(timer.laneRecords(0), 0u);
 
     log::EventRecord in_range;
     in_range.type = log::EventType::kLoad;
@@ -288,8 +379,8 @@ TEST(PipelineTimer, MixedLaneBufferCapacities)
     timer.log(aluRecord(), 0);
     timer.log(aluRecord(), 0);
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
-    EXPECT_EQ(timer.bufferStats(0).max_occupancy, 1u);
-    EXPECT_EQ(timer.bufferStats(1).max_occupancy, 2u);
+    EXPECT_EQ(timer.laneMaxOccupancy(0), 1u);
+    EXPECT_EQ(timer.laneMaxOccupancy(1), 2u);
     // The stalled producer's clock moved to 11, so lane 0's second
     // record starts there and finishes at 22.
     EXPECT_EQ(timer.laneLastFinish(0), 22u);

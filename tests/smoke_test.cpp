@@ -144,6 +144,63 @@ TEST_F(SmokeTest, LbaRunTrailingValueFlagIsUsageErrorNotCrash)
     EXPECT_EQ(runCommand(dbi), 2);
 }
 
+/**
+ * Runs lba_run once per numeric flag with @p bad_value (indexed like
+ * kNumericFlags), in both the `--flag value` and `--flag=value`
+ * spellings, and expects a usage error (exit 2) every time.
+ */
+constexpr const char* kNumericFlags[] = {
+    "--instrs", "--shards", "--tenants", "--lanes",
+    "--checkpoint-interval", "--transport-bw"};
+
+void
+expectNumericFlagsRejected(const char* const (&bad_values)[6])
+{
+    for (std::size_t f = 0; f < 6; ++f) {
+        const std::string flag = kNumericFlags[f];
+        const std::string value = bad_values[f];
+        for (const std::string& spelling :
+             {flag + " '" + value + "'", flag + "='" + value + "'"}) {
+            std::string cmd = std::string(LBA_RUN_PATH) +
+                              " gzip addrcheck --instrs 15000"
+                              " --platform lba " +
+                              spelling + " >/dev/null 2>&1";
+            EXPECT_EQ(runCommand(cmd), 2) << "spelling: " << spelling;
+        }
+    }
+}
+
+TEST_F(SmokeTest, LbaRunNumericFlagRejectsEmptyValue)
+{
+    expectNumericFlagsRejected({"", "", "", "", "", ""});
+}
+
+TEST_F(SmokeTest, LbaRunNumericFlagRejectsTrailingGarbage)
+{
+    expectNumericFlagsRejected(
+        {"15000x", "abc", "2 ", "4lanes", "500k", "1.5x"});
+}
+
+TEST_F(SmokeTest, LbaRunNumericFlagRejectsNegativeValue)
+{
+    expectNumericFlagsRejected({"-1", "-4", "-2", "-2", "-500", "-3"});
+}
+
+TEST_F(SmokeTest, LbaRunNumericFlagRejectsOutOfRangeValue)
+{
+    // One past each flag's type: 2^64 for the 64-bit counts, 2^32 + 1
+    // (which used to wrap to 1) for the 32-bit ones, and a bandwidth
+    // beyond double.
+    expectNumericFlagsRejected(
+        {"18446744073709551616", "4294967297", "4294967297",
+         "4294967297", "18446744073709551616", "1e999"});
+    // In-range values still run, in the `--flag=value` spelling too.
+    std::string ok = std::string(LBA_RUN_PATH) +
+                     " gzip addrcheck --instrs=15000 --platform=lba"
+                     " --shards=2 --transport-bw=0.5 >/dev/null 2>&1";
+    EXPECT_EQ(runCommand(ok), 0);
+}
+
 TEST_F(SmokeTest, LbaRunDispatchTierFlagValidation)
 {
     // Unknown tier names are usage errors (exit 2), in both the

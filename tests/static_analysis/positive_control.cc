@@ -9,7 +9,6 @@
 
 #include "common/thread_annotations.h"
 #include "core/pipeline_timer.h"
-#include "log/log_buffer.h"
 
 /** GUARDED_BY data accessed under its mutex. */
 struct LbaLintCounter
@@ -38,35 +37,14 @@ bumpLocked(LbaLintCounter& counter)
     counter.value += 1;
 }
 
-/** Each SPSC side used by the thread that assumed it. */
-void
-producerPushes(lba::log::LogBuffer& ring, const lba::log::EventRecord& r)
-{
-    ring.assumeProducer();
-    if (!ring.full()) (void)ring.push(r, 0);
-}
-
-void
-consumerPops(lba::log::LogBuffer& ring)
-{
-    ring.assumeConsumer();
-    lba::log::LogBuffer::Entry entry;
-    while (ring.pop(&entry)) {
-    }
-}
-
 } // namespace
 
 /** Anchor so the object file is non-empty and the statics are used. */
 void
 lbaStaticAnalysisPositiveControl(lba::core::PipelineTimer& timer,
                                  const lba::sim::Retired& retired,
-                                 lba::log::LogBuffer& ring,
-                                 const lba::log::EventRecord& record,
                                  LbaLintCounter& counter)
 {
     coordinatorDrives(timer, retired);
     bumpLocked(counter);
-    producerPushes(ring, record);
-    consumerPops(ring);
 }

@@ -17,14 +17,16 @@
  * With --tenants N the benchmark argument may be a comma-separated
  * list of profiles; the N tenants cycle through it and share an M-lane
  * lifeguard pool under the chosen scheduling policy (src/sched/).
+ * Every flag takes its value as `--flag value` or `--flag=value`;
+ * numeric values must be plain non-negative decimal numbers that fit
+ * their type (anything else is a usage error, exit 2).
  * --containment enables rewind-and-repair containment under the chosen
- * repair policy (src/replay/containment.h); the `--containment=policy`
- * spelling is accepted too. --dispatch selects the lifeguard-core
- * dispatch tier: `batched` (the default) drains records in batches
- * through the per-event-type handler tables, `fused` drains the same
- * batches through compiled handler IR (specialized loops, no per-record
- * table lookup), `per-record` is the retained virtual-dispatch
- * baseline; all three are cycle-identical by construction
+ * repair policy (src/replay/containment.h). --dispatch selects the
+ * lifeguard-core dispatch tier: `batched` (the default) drains records
+ * in batches through the per-event-type handler tables, `fused` drains
+ * the same batches through compiled handler IR (specialized loops, no
+ * per-record table lookup), `per-record` is the retained
+ * virtual-dispatch baseline; all three are cycle-identical by construction
  * (docs/ARCHITECTURE.md). --execution selects the host execution mode:
  * `threaded` runs lifeguard handlers on one worker thread per lane
  * while every simulated cycle count stays bit-identical to `serial`
@@ -35,11 +37,12 @@
  * machine-readable copy of the report to PATH.
  */
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "compress/registry.h"
@@ -77,6 +80,27 @@ usage()
         "               [--dispatch batched|per-record|fused]\n"
         "               [--execution serial|threaded]\n");
     return 2;
+}
+
+/**
+ * Parse a numeric flag value: the whole of @p text must be one
+ * non-negative decimal number representable in T (finite, for
+ * floating point). Empty input, signs, trailing garbage and
+ * out-of-range values are rejected, leaving @p out untouched.
+ */
+template <typename T>
+bool
+parseNumber(const std::string& text, T* out)
+{
+    T value{};
+    const char* last = text.data() + text.size();
+    auto [end, error] = std::from_chars(text.data(), last, value);
+    if (text.empty() || error != std::errc{} || end != last) return false;
+    if constexpr (std::is_floating_point_v<T>) {
+        if (!std::isfinite(value) || std::signbit(value)) return false;
+    }
+    *out = value;
+    return true;
 }
 
 void
@@ -408,82 +432,58 @@ main(int argc, char** argv)
     };
     for (int i = 3; i < argc; ++i) {
         std::string arg = argv[i];
-        // The containment flags also accept the `--flag=value`
-        // spelling; every other flag takes `--flag value` only.
+        // Every flag takes a value, spelled `--flag value` or
+        // `--flag=value`.
+        std::string value;
         std::size_t eq = arg.find('=');
         if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-            // Not an over-read: the value is carried in arg itself.
-            std::string value = arg.substr(eq + 1);
+            value = arg.substr(eq + 1);
             arg = arg.substr(0, eq);
-            if (arg == "--containment") {
-                containment.enabled = true;
-                if (!replay::parseRepairPolicy(value,
-                                               &containment.policy)) {
-                    return usage();
-                }
-                continue;
-            }
-            if (arg == "--checkpoint-interval") {
-                containment.checkpoint_interval =
-                    std::strtoull(value.c_str(), nullptr, 10);
-                continue;
-            }
-            if (arg == "--dispatch") {
-                if (!parse_dispatch(value)) return usage();
-                continue;
-            }
-            if (arg == "--execution") {
-                if (!parse_execution(value)) return usage();
-                continue;
-            }
-            return usage();
-        }
-        if (arg == "--instrs" && i + 1 < argc) {
-            instrs = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--platform" && i + 1 < argc) {
-            platform = argv[++i];
-        } else if (arg == "--shards" && i + 1 < argc) {
-            shards = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--tenants" && i + 1 < argc) {
-            tenants = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--lanes" && i + 1 < argc) {
-            lanes = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--sched" && i + 1 < argc) {
-            if (!sched::parsePolicy(argv[++i], &policy)) return usage();
-        } else if (arg == "--transport-bw" && i + 1 < argc) {
-            transport_bw = std::strtod(argv[++i], nullptr);
-        } else if (arg == "--codec" && i + 1 < argc) {
-            codec = argv[++i];
-        } else if (arg == "--containment" && i + 1 < argc) {
-            containment.enabled = true;
-            if (!replay::parseRepairPolicy(argv[++i],
-                                           &containment.policy)) {
-                return usage();
-            }
-        } else if (arg == "--checkpoint-interval" && i + 1 < argc) {
-            containment.checkpoint_interval =
-                std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--dispatch" && i + 1 < argc) {
-            if (!parse_dispatch(argv[++i])) return usage();
-        } else if (arg == "--execution" && i + 1 < argc) {
-            if (!parse_execution(argv[++i])) return usage();
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path = argv[++i];
-        } else if (arg == "--bugs" && i + 1 < argc) {
-            std::string list = argv[++i];
-            bugs.use_after_free = list.find("uaf") != std::string::npos;
-            bugs.double_free =
-                list.find("double-free") != std::string::npos;
-            bugs.leak = list.find("leak") != std::string::npos;
-            bugs.tainted_jump =
-                list.find("tainted-jump") != std::string::npos;
-            bugs.race = list.find("race") != std::string::npos;
+        } else if (i + 1 < argc) {
+            value = argv[++i];
         } else {
             return usage();
         }
+        bool ok = true;
+        if (arg == "--instrs") {
+            ok = parseNumber(value, &instrs);
+        } else if (arg == "--platform") {
+            platform = value;
+        } else if (arg == "--shards") {
+            ok = parseNumber(value, &shards);
+        } else if (arg == "--tenants") {
+            ok = parseNumber(value, &tenants);
+        } else if (arg == "--lanes") {
+            ok = parseNumber(value, &lanes);
+        } else if (arg == "--sched") {
+            ok = sched::parsePolicy(value, &policy);
+        } else if (arg == "--transport-bw") {
+            ok = parseNumber(value, &transport_bw);
+        } else if (arg == "--codec") {
+            codec = value;
+        } else if (arg == "--containment") {
+            containment.enabled = true;
+            ok = replay::parseRepairPolicy(value, &containment.policy);
+        } else if (arg == "--checkpoint-interval") {
+            ok = parseNumber(value, &containment.checkpoint_interval);
+        } else if (arg == "--dispatch") {
+            ok = parse_dispatch(value);
+        } else if (arg == "--execution") {
+            ok = parse_execution(value);
+        } else if (arg == "--json") {
+            json_path = value;
+        } else if (arg == "--bugs") {
+            bugs.use_after_free = value.find("uaf") != std::string::npos;
+            bugs.double_free =
+                value.find("double-free") != std::string::npos;
+            bugs.leak = value.find("leak") != std::string::npos;
+            bugs.tainted_jump =
+                value.find("tainted-jump") != std::string::npos;
+            bugs.race = value.find("race") != std::string::npos;
+        } else {
+            ok = false;
+        }
+        if (!ok) return usage();
     }
     if (execution == core::ExecutionMode::kThreaded &&
         dispatch_tier == core::DispatchTier::kPerRecord) {
@@ -542,8 +542,8 @@ main(int argc, char** argv)
     }
 
     if (tenants > 0) {
-        // Malformed --lanes (strtoul yields 0) is a CLI error, not a
-        // library invariant violation.
+        // A zero-lane pool is a CLI error, not a library invariant
+        // violation.
         if (lanes == 0) return usage();
         auto benchmarks = splitList(benchmark);
         if (benchmarks.empty()) return usage();
