@@ -20,23 +20,22 @@ namespace lba::compress {
 class BitWriter
 {
   public:
-    /** Append the low @p count bits of @p value (count <= 64). */
-    void
-    writeBits(std::uint64_t value, unsigned count)
-    {
-        LBA_ASSERT(count <= 64, "cannot write more than 64 bits");
-        for (unsigned i = 0; i < count; ++i) {
-            if (bit_pos_ == 0) bytes_.push_back(0);
-            if ((value >> i) & 1) {
-                bytes_.back() |=
-                    static_cast<std::uint8_t>(1u << bit_pos_);
-            }
-            bit_pos_ = (bit_pos_ + 1) % 8;
-        }
-    }
+    /**
+     * Append the low @p count bits of @p value (count <= 64), a byte at
+     * a time. Out of line (bitstream.cc): the multi-bit fields are the
+     * rare ones, and keeping this body out of the compressor's append
+     * leaves room to inline writeBit() at every flag.
+     */
+    void writeBits(std::uint64_t value, unsigned count);
 
-    /** Append one bit. */
-    void writeBit(bool bit) { writeBits(bit ? 1 : 0, 1); }
+    /** Append one bit (the per-field flag path, kept inline). */
+    void
+    writeBit(bool bit)
+    {
+        if (bit_pos_ == 0) bytes_.push_back(0);
+        if (bit) bytes_.back() |= static_cast<std::uint8_t>(1u << bit_pos_);
+        bit_pos_ = (bit_pos_ + 1) % 8;
+    }
 
     /**
      * Append an unsigned LEB128-style varint: 7 value bits per group,

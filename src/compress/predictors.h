@@ -17,12 +17,17 @@
  *                      effective addresses.
  *  - TargetPredictor:  pc-indexed last taken-target for control transfers.
  *  - LastValue:        per-annotation-type last address/size values.
+ *
+ * Every bank is a FlatMap (common/flat_map.h): one inline probe per
+ * lookup, and each method looks each table up at most once. The tables
+ * are never iterated, so encoder and decoder stay in lockstep whatever
+ * the slot order.
  */
 
 #include <cstdint>
-#include <unordered_map>
 
 #include "common/assert.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "isa/isa.h"
 
@@ -39,15 +44,15 @@ class PcPredictor
     Source
     predict(ThreadId tid, Addr actual) const
     {
-        auto it = last_pc_.find(tid);
-        if (it == last_pc_.end()) {
+        const Last* last = last_pc_.find(tid);
+        if (last == nullptr) {
             return Source::kMiss;
         }
-        if (it->second + isa::kInstrBytes == actual) {
+        if (last->pc + isa::kInstrBytes == actual) {
             return Source::kSequential;
         }
-        auto ctx = context_.find(it->second);
-        if (ctx != context_.end() && ctx->second == actual) {
+        const Addr* next = context_.find(last->pc);
+        if (next != nullptr && *next == actual) {
             return Source::kContext;
         }
         return Source::kMiss;
@@ -72,16 +77,16 @@ class PcPredictor
     bool
     tryResolve(ThreadId tid, Source source, Addr* out) const
     {
-        auto it = last_pc_.find(tid);
-        if (it == last_pc_.end()) return false;
+        const Last* last = last_pc_.find(tid);
+        if (last == nullptr) return false;
         if (source == Source::kSequential) {
-            *out = it->second + isa::kInstrBytes;
+            *out = last->pc + isa::kInstrBytes;
             return true;
         }
         // kContext
-        auto ctx = context_.find(it->second);
-        if (ctx == context_.end()) return false;
-        *out = ctx->second;
+        const Addr* next = context_.find(last->pc);
+        if (next == nullptr) return false;
+        *out = *next;
         return true;
     }
 
@@ -89,26 +94,33 @@ class PcPredictor
     Addr
     missBase(ThreadId tid) const
     {
-        auto it = last_pc_.find(tid);
-        return it == last_pc_.end() ? 0
-                                    : it->second + isa::kInstrBytes;
+        const Last* last = last_pc_.find(tid);
+        return last == nullptr ? 0 : last->pc + isa::kInstrBytes;
     }
 
     /** Record the actual pc (both sides call this after every record). */
     void
     update(ThreadId tid, Addr actual)
     {
-        auto it = last_pc_.find(tid);
-        if (it != last_pc_.end() &&
-            it->second + isa::kInstrBytes != actual) {
-            context_[it->second] = actual;
+        Last& last = last_pc_[tid];
+        if (last.seen && last.pc + isa::kInstrBytes != actual) {
+            context_[last.pc] = actual;
         }
-        last_pc_[tid] = actual;
+        last.pc = actual;
+        last.seen = true;
     }
 
   private:
-    std::unordered_map<ThreadId, Addr> last_pc_;
-    std::unordered_map<Addr, Addr> context_;
+    /** Only update() inserts, and it sets seen, so every entry find()
+     *  returns is seen; the flag marks the entry update() just made. */
+    struct Last
+    {
+        Addr pc = 0;
+        bool seen = false;
+    };
+
+    FlatMap<ThreadId, Last> last_pc_;
+    FlatMap<Addr, Addr> context_;
 };
 
 /** Static per-pc instruction fields. */
@@ -130,14 +142,13 @@ class StaticPredictor
     const StaticInfo*
     predict(Addr pc) const
     {
-        auto it = table_.find(pc);
-        return it == table_.end() ? nullptr : &it->second;
+        return table_.find(pc);
     }
 
     void update(Addr pc, const StaticInfo& info) { table_[pc] = info; }
 
   private:
-    std::unordered_map<Addr, StaticInfo> table_;
+    FlatMap<Addr, StaticInfo> table_;
 };
 
 /** pc-indexed last-address + stride predictor for effective addresses. */
@@ -149,13 +160,12 @@ class StridePredictor
     Source
     predict(Addr pc, Addr actual) const
     {
-        auto it = table_.find(pc);
-        if (it == table_.end()) return Source::kMiss;
-        if (static_cast<Addr>(it->second.last + it->second.stride) ==
-            actual) {
+        const Entry* e = table_.find(pc);
+        if (e == nullptr) return Source::kMiss;
+        if (static_cast<Addr>(e->last + e->stride) == actual) {
             return Source::kStride;
         }
-        if (it->second.last == actual) return Source::kLast;
+        if (e->last == actual) return Source::kLast;
         return Source::kMiss;
     }
 
@@ -174,12 +184,11 @@ class StridePredictor
     bool
     tryResolve(Addr pc, Source source, Addr* out) const
     {
-        auto it = table_.find(pc);
-        if (it == table_.end()) return false;
-        const Entry& e = it->second;
+        const Entry* e = table_.find(pc);
+        if (e == nullptr) return false;
         *out = source == Source::kStride
-                   ? static_cast<Addr>(e.last + e.stride)
-                   : e.last;
+                   ? static_cast<Addr>(e->last + e->stride)
+                   : e->last;
         return true;
     }
 
@@ -187,8 +196,8 @@ class StridePredictor
     Addr
     missBase(Addr pc) const
     {
-        auto it = table_.find(pc);
-        return it == table_.end() ? 0 : it->second.last;
+        const Entry* e = table_.find(pc);
+        return e == nullptr ? 0 : e->last;
     }
 
     void
@@ -213,7 +222,7 @@ class StridePredictor
         bool seen = false;
     };
 
-    std::unordered_map<Addr, Entry> table_;
+    FlatMap<Addr, Entry> table_;
 };
 
 /** pc-indexed last taken-target predictor for control transfers. */
@@ -224,22 +233,22 @@ class TargetPredictor
     bool
     predict(Addr pc, Addr actual) const
     {
-        auto it = table_.find(pc);
-        return it != table_.end() && it->second == actual;
+        const Addr* target = table_.find(pc);
+        return target != nullptr && *target == actual;
     }
 
     /** Stored target for @p pc (0 when unseen). */
     Addr
     resolve(Addr pc) const
     {
-        auto it = table_.find(pc);
-        return it == table_.end() ? 0 : it->second;
+        const Addr* target = table_.find(pc);
+        return target == nullptr ? 0 : *target;
     }
 
     void update(Addr pc, Addr actual) { table_[pc] = actual; }
 
   private:
-    std::unordered_map<Addr, Addr> table_;
+    FlatMap<Addr, Addr> table_;
 };
 
 } // namespace lba::compress

@@ -166,16 +166,17 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // contexts may need multiple slots for one logical record.
     LBA_ASSERT(needed <= lane.slots.capacity(),
                "lane buffer smaller than one record's consumptions");
-    if (lane.slots.size() + lane.pending + needed >
-        lane.slots.capacity()) {
-        // A queued-but-unconsumed record occupies a slot whose finish
-        // time is not known yet: catch the whole queue up first (in
-        // arrival order, so the interleaving stays identical to the
-        // per-record path — these records were consumed before this
-        // point on that path too).
-        flushPending();
-    }
-    while (lane.slots.size() + needed > lane.slots.capacity()) {
+    // The slots to free are the lane's oldest. While the queued records
+    // and the new ones fit in the buffer by themselves, those are
+    // consumed records whose finish times the ring already holds, so no
+    // flush is needed. Otherwise a queued-but-unconsumed record's
+    // finish time matters: catch the whole queue up first (in arrival
+    // order, so the interleaving stays identical to the per-record
+    // path — these records were consumed before this point on that
+    // path too).
+    if (lane.pending + needed > lane.slots.capacity()) flushPending();
+    while (lane.slots.size() + lane.pending + needed >
+           lane.slots.capacity()) {
         Cycles freed_at = lane.slots.pop();
         if (producer.app_time < freed_at) {
             Cycles stall = freed_at - producer.app_time;

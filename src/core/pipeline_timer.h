@@ -43,7 +43,8 @@
  * kBatched (the default) queues records as they are logged and drains
  * them at the next flush boundary — the following retirement (before
  * its drain check and cache accesses), a containment drain, a
- * slot-reservation squeeze, or end of run — first running every queued
+ * slot-reservation squeeze that the ring's known finish times cannot
+ * cover, or end of run — first running every queued
  * handler in arrival order through the lifeguards' handler tables
  * (DispatchEngine::consumeBatch), then folding the per-record costs
  * into the recurrence in the same order. Because every flush boundary
@@ -186,8 +187,9 @@ struct LbaConfig
      * Dispatch tier (see DispatchTier and the file comment). The
      * batching tiers (kBatched, kFused) queue records as they are
      * logged and drain them at the next flush boundary: the following
-     * retirement, a containment drain, a slot-reservation squeeze, or
-     * end of run. Every flush boundary precedes the next
+     * retirement, a containment drain, a slot-reservation squeeze the
+     * ring's known finish times cannot cover, or end of run. Every
+     * flush boundary precedes the next
      * application-core cache access, so the cache-access interleaving —
      * and therefore every cycle count — is identical to the kPerRecord
      * path (asserted by tests/dispatch_batch_test.cpp and
@@ -581,7 +583,9 @@ class PipelineTimer
                          const log::EventRecord& record);
 
     /** Free @p needed slots in @p lane, stalling @p producer if
-     *  needed. */
+     *  needed. The freed slots are the oldest, so the ring's known
+     *  finish times are popped first; the pending queue is flushed
+     *  only when it and the new slots overfill the buffer alone. */
     void reserveSlots(Producer& producer, Lane& lane,
                       std::size_t needed) LBA_COORDINATOR_ONLY;
 

@@ -11,18 +11,31 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 
+#include "common/flat_map.h"
 #include "common/types.h"
 
 namespace lba::mem {
 
-/** Byte-addressable sparse memory with 64-bit addressing. */
+/**
+ * Byte-addressable sparse memory with 64-bit addressing.
+ *
+ * An access that stays inside one page resolves that page once; only a
+ * page-crossing access falls back to the byte path. A last-page memo
+ * (as in lifeguard::ShadowMemory) skips the page table for the common
+ * run of accesses to one page. Page arrays never move once materialized
+ * and are never freed before the Memory, so the memo cannot dangle; a
+ * move hands the memo over with the pages and clears the source's.
+ */
 class Memory
 {
   public:
     static constexpr unsigned kPageShift = 12;
     static constexpr std::size_t kPageBytes = 1ull << kPageShift;
+
+    Memory() = default;
+    Memory(Memory&& other) noexcept;
+    Memory& operator=(Memory&& other) noexcept;
 
     /** Read one byte (0 for untouched memory). */
     std::uint8_t read8(Addr addr) const;
@@ -57,13 +70,22 @@ class Memory
   private:
     using Page = std::unique_ptr<std::uint8_t[]>;
 
-    /** Find the page containing @p addr, or nullptr if untouched. */
+    /** Find the page containing @p addr, or nullptr if untouched
+     *  (a miss creates nothing and leaves the memo alone). */
     const std::uint8_t* findPage(Addr addr) const;
 
     /** Find or create the page containing @p addr. */
     std::uint8_t* touchPage(Addr addr);
 
-    std::unordered_map<Addr, Page> pages_;
+    /** Little-endian load/store of one unsigned word: one page lookup
+     *  in-page, the byte path across a page boundary. */
+    template <typename T> T load(Addr addr) const;
+    template <typename T> void store(Addr addr, T value);
+
+    FlatMap<Addr, Page> pages_;
+    /** Last-page memo: page number and its array (~0 = none). */
+    mutable Addr memo_page_ = ~0ull;
+    mutable std::uint8_t* memo_data_ = nullptr;
 };
 
 } // namespace lba::mem

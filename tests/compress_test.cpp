@@ -64,6 +64,46 @@ TEST(BitStream, BitCountIsExact)
     EXPECT_EQ(w.bitCount(), 11u);
 }
 
+TEST(BitStream, ByteAtATimeMatchesBitAtATimeReference)
+{
+    // Reference: the one-bit-per-step writer, LSB first within a byte.
+    std::vector<std::uint8_t> ref;
+    std::uint64_t ref_bits = 0;
+    auto refWrite = [&](std::uint64_t value, unsigned count) {
+        for (unsigned i = 0; i < count; ++i, ++ref_bits) {
+            if (ref_bits % 8 == 0) ref.push_back(0);
+            if ((value >> i) & 1) {
+                ref.back() |= static_cast<std::uint8_t>(1u << (ref_bits % 8));
+            }
+        }
+    };
+
+    BitWriter w;
+    std::uint64_t x = 0x243f6a8885a308d3ull; // fixed seed
+    auto next = [&x] {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        return x;
+    };
+    const unsigned kEdgeCounts[] = {0, 1, 63, 64};
+    for (int i = 0; i < 20000; ++i) {
+        // Full-width values, so bits above count are set and must be
+        // dropped; every fourth count is an edge case.
+        std::uint64_t value = next();
+        unsigned count = i % 4 == 0 ? kEdgeCounts[(i / 4) % 4]
+                                    : static_cast<unsigned>(next() % 65);
+        if (count == 1 && (value & 2)) {
+            w.writeBit((value & 1) != 0); // the inline flag path
+        } else {
+            w.writeBits(value, count);
+        }
+        refWrite(value, count);
+        ASSERT_EQ(w.bitCount(), ref_bits) << "after write " << i;
+    }
+    EXPECT_EQ(w.bytes(), ref);
+}
+
 TEST(ZigZag, RoundTripsSignedValues)
 {
     for (std::int64_t v :

@@ -67,6 +67,94 @@ TEST(Memory, WriteBytesBulk)
     }
 }
 
+TEST(Memory, UntouchedReadsCreateNoPage)
+{
+    Memory m;
+    for (unsigned bytes : {1u, 4u, 8u}) {
+        EXPECT_EQ(m.readValue(0x5000 + bytes, bytes), 0u);
+        // Straddling two untouched pages.
+        EXPECT_EQ(m.readValue(0x6000 - 2, bytes), 0u);
+    }
+    EXPECT_EQ(m.numPages(), 0u);
+}
+
+TEST(Memory, WriteAfterReadMissIsVisible)
+{
+    // A read miss must not leave a memo that hides the page a later
+    // write creates.
+    Memory m;
+    EXPECT_EQ(m.read64(0x7008), 0u);
+    m.write32(0x7010, 0x11223344);
+    EXPECT_EQ(m.read32(0x7010), 0x11223344u);
+    EXPECT_EQ(m.read64(0x7010), 0x11223344ull);
+    EXPECT_EQ(m.read8(0x7013), 0x11);
+    EXPECT_EQ(m.numPages(), 1u);
+
+    // Alternating pages moves the memo back and forth.
+    m.write8(0x9000, 0x5a);
+    EXPECT_EQ(m.read32(0x7010), 0x11223344u);
+    EXPECT_EQ(m.read8(0x9000), 0x5a);
+    EXPECT_EQ(m.numPages(), 2u);
+}
+
+TEST(Memory, StraddlingWordsSplitAcrossPages)
+{
+    const Addr boundary = 4 * Memory::kPageBytes;
+    for (unsigned bytes : {4u, 8u}) {
+        for (unsigned before = 1; before < bytes; ++before) {
+            Memory m;
+            Addr addr = boundary - before;
+            std::uint64_t value = 0x8877665544332211ull;
+            if (bytes == 4) value &= 0xffffffffull;
+            m.writeValue(addr, value, bytes);
+            EXPECT_EQ(m.numPages(), 2u);
+            EXPECT_EQ(m.readValue(addr, bytes), value);
+            // Little-endian split: the low bytes sit below the boundary.
+            EXPECT_EQ(m.read8(boundary - 1),
+                      static_cast<std::uint8_t>(value >> (8 * (before - 1))));
+            EXPECT_EQ(m.read8(boundary),
+                      static_cast<std::uint8_t>(value >> (8 * before)));
+            EXPECT_EQ(m.read8(boundary - before - 1), 0u);
+            EXPECT_EQ(m.read8(addr + bytes), 0u);
+        }
+    }
+
+    // A straddling read over one touched and one untouched page.
+    Memory m;
+    m.write8(boundary - 1, 0xab);
+    EXPECT_EQ(m.read32(boundary - 1), 0xabu);
+    EXPECT_EQ(m.read64(boundary - 2), 0xab00ull);
+    EXPECT_EQ(m.numPages(), 1u);
+}
+
+TEST(Memory, MovedToMemoryReadsItsPages)
+{
+    Memory m;
+    m.write64(0x1000, 0x0102030405060708ull);
+    m.write64(0x20000, 0xfedcba9876543210ull);
+    EXPECT_EQ(m.read64(0x20000), 0xfedcba9876543210ull); // memo: 0x20000
+
+    Memory moved(std::move(m));
+    EXPECT_EQ(moved.numPages(), 2u);
+    EXPECT_EQ(moved.read64(0x20000), 0xfedcba9876543210ull);
+    EXPECT_EQ(moved.read64(0x1000), 0x0102030405060708ull);
+    moved.write8(0x20000, 0xee);
+    EXPECT_EQ(moved.read8(0x20000), 0xee);
+
+    Memory assigned;
+    assigned.write8(0x20000, 0x77); // its own page, memoized
+    assigned = std::move(moved);
+    EXPECT_EQ(assigned.numPages(), 2u);
+    EXPECT_EQ(assigned.read8(0x20000), 0xee);
+    EXPECT_EQ(assigned.read64(0x1000), 0x0102030405060708ull);
+
+    // A moved-from Memory is empty, not an alias of the new owner.
+    EXPECT_EQ(m.numPages(), 0u);      // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.numPages(), 0u);  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(moved.read64(0x20000), 0u);
+    EXPECT_EQ(assigned.read8(0x20000), 0xee);
+}
+
 TEST(Cache, FirstAccessMissesThenHits)
 {
     Cache c({"t", 1024, 64, 2});

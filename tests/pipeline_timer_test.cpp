@@ -283,6 +283,78 @@ TEST(PipelineTimer, FinishRingWrapsWithExactStalls)
     }
 }
 
+/** What the multi-record-retirement scenario below observes. */
+struct SqueezeObservation
+{
+    Cycles stall = 0;
+    std::uint64_t max_occupancy = 0;
+    Cycles last_finish = 0;
+    std::uint64_t records = 0;
+    std::uint64_t batches = 0;
+};
+
+SqueezeObservation
+runSyscallSqueeze(DispatchTier tier)
+{
+    mem::CacheHierarchy hierarchy(cores(2));
+    LbaConfig config;
+    config.dispatch_tier = tier;
+    config.buffer_capacity = 4;
+    FixedCostLifeguard guard(10); // consume cost = 11
+    PipelineTimer timer(hierarchy, config, {&guard});
+    // Six retirements, each a syscall that logs its own record plus
+    // three annotations: after the first, every record of a retirement
+    // finds the four-slot ring full of consumed records.
+    sim::Retired retired;
+    for (int i = 0; i < 6; ++i) {
+        retired.pc = 0x1000 + 8 * static_cast<Addr>(i);
+        timer.retire(retired);
+        log::EventRecord syscall = aluRecord(retired.pc);
+        syscall.type = log::EventType::kSyscall;
+        timer.log(syscall, 0);
+        for (int a = 0; a < 3; ++a) {
+            timer.log(allocRecord(0x10000000 + 64 * static_cast<Addr>(a),
+                                  64),
+                      0);
+        }
+    }
+    timer.finishAll();
+    SqueezeObservation seen;
+    seen.stall = timer.stats().backpressure_stall_cycles;
+    seen.max_occupancy = timer.laneMaxOccupancy(0);
+    seen.last_finish = timer.laneLastFinish(0);
+    lifeguard::DispatchStats dispatch = timer.dispatchStats(0);
+    seen.records = dispatch.records;
+    seen.batches = dispatch.batches;
+    return seen;
+}
+
+TEST(PipelineTimer, SqueezePopsKnownFinishTimesWithoutFlushing)
+{
+    // A squeeze frees the lane's oldest slots, whose finish times the
+    // ring already holds, so it needs no flush: the retirement's four
+    // records queue as one batch on the batching tiers, while the
+    // stalls stay exactly the per-record path's.
+    SqueezeObservation per_record =
+        runSyscallSqueeze(DispatchTier::kPerRecord);
+    EXPECT_EQ(per_record.records, 24u);
+    EXPECT_EQ(per_record.batches, 0u);
+    EXPECT_GT(per_record.stall, 0u);
+    EXPECT_EQ(per_record.max_occupancy, 4u);
+    for (DispatchTier tier : {DispatchTier::kBatched, DispatchTier::kFused}) {
+        SCOPED_TRACE(tier == DispatchTier::kBatched ? "batched" : "fused");
+        SqueezeObservation seen = runSyscallSqueeze(tier);
+        EXPECT_EQ(seen.stall, per_record.stall);
+        EXPECT_EQ(seen.max_occupancy, per_record.max_occupancy);
+        EXPECT_EQ(seen.last_finish, per_record.last_finish);
+        EXPECT_EQ(seen.records, 24u);
+        // One batch per retirement: 4 records per batch. A flush at
+        // every squeeze would split each full-ring retirement into 4
+        // batches of 1 (21 batches, 1.14 records per batch).
+        EXPECT_EQ(seen.batches, 6u);
+    }
+}
+
 TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
 {
     mem::CacheHierarchy hierarchy(cores(3));

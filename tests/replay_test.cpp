@@ -144,6 +144,32 @@ TEST(Checkpointer, PartialWidthUndoIsExact)
     EXPECT_EQ(p.memory().read64(0x100000), ~0ull);
 }
 
+TEST(Checkpointer, RewindRestoresPageStraddlingStores)
+{
+    // 0x100ffc..0x101003 straddles a page boundary, and the second
+    // page is first touched inside the rewound window.
+    sim::Process p;
+    p.load(program(R"(
+        li r5, 0x100ffc
+        li r1, 0x1234
+        sw r1, 0(r5)        ; in-page word just below the boundary
+        syscall 9           ; checkpoint
+        li r2, -1
+        sd r2, 0(r5)        ; straddles into an untouched page
+        sw r2, -2(r5)
+        halt
+    )"));
+    Checkpointer cp(p);
+    p.setStoreInterceptor(&cp);
+    p.run(&cp);
+    EXPECT_EQ(p.memory().read64(0x100ffc), ~0ull);
+    EXPECT_EQ(p.memory().read32(0x101000), ~0u);
+    cp.rewind();
+    EXPECT_EQ(p.memory().read64(0x100ffc), 0x1234u);
+    EXPECT_EQ(p.memory().read32(0x100ffa), 0x12340000u);
+    EXPECT_EQ(p.memory().read32(0x101000), 0u);
+}
+
 TEST(Checkpointer, HighWaterAccountedByRewind)
 {
     // The window that a rewind() ends — not a checkpoint — must still
