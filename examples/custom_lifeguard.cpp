@@ -124,9 +124,9 @@ main()
         return 1;
     }
 
-    // The same checker on the retained per-record dispatch path must
-    // report the same findings in the same cycles (the cycle-identity
-    // invariant the batched handler table is built on).
+    // The same checker consuming each record the moment it is logged
+    // (per-record dispatch) must report the same findings in the same
+    // cycles (the cycle-identity invariant batching is built on).
     core::LbaConfig per_record = experiment.config().lba;
     per_record.dispatch_tier = core::DispatchTier::kPerRecord;
     auto baseline = experiment.runLba(factory, per_record);

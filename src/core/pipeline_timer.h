@@ -38,20 +38,21 @@
  *
  * Dispatch tiers (LbaConfig::dispatch_tier). The recurrence above is
  * *what* is computed; the tier changes only *how* (and when) the host
- * computes it. kPerRecord consumes each record as it is logged through
- * the lifeguard's virtual handleEvent (the micro_dispatch baseline).
- * kBatched (the default) queues records as they are logged and drains
- * them at the next flush boundary — the following retirement (before
- * its drain check and cache accesses), a containment drain, a
- * slot-reservation squeeze that the ring's known finish times cannot
- * cover, or end of run — first running every queued
- * handler in arrival order through the lifeguards' handler tables
+ * computes it. kPerRecord consumes each record the moment it is
+ * logged, through the lifeguard's handler table
+ * (DispatchEngine::consume) — the reference the batching tiers are
+ * tested against. kBatched (the default) queues records as they are
+ * logged and drains them at the next flush boundary — the following
+ * retirement (before its drain check and cache accesses), a
+ * containment drain, a slot-reservation squeeze that the ring's known
+ * finish times cannot cover, or end of run — first running every
+ * queued handler in arrival order through the same handler tables
  * (DispatchEngine::consumeBatch), then folding the per-record costs
  * into the recurrence in the same order. Because every flush boundary
  * precedes the next application-core cache access, the shared-L2
  * access interleaving is exactly the per-record path's, making the
- * tiers cycle-identical (tests/dispatch_batch_test.cpp) while the host
- * pays table dispatch instead of a virtual call per record. kFused
+ * tiers cycle-identical (tests/dispatch_batch_test.cpp); only *when*
+ * records are consumed differs. kFused
  * drains the same flush batches through each lifeguard's *compiled*
  * handler IR (lifeguard/compiler.h): same-event-type runs execute in
  * specialized loops with the shadow cost accounting inlined — no
@@ -129,8 +130,10 @@ enum class ExecutionMode
  */
 enum class DispatchTier
 {
-    /** Consume each record as it is logged, through the lifeguard's
-     *  virtual handleEvent (the micro_dispatch baseline). */
+    /** Consume each record the moment it is logged, through the same
+     *  handler table (DispatchEngine::consume): differs from kBatched
+     *  only in *when* records are consumed, which makes it the
+     *  reference the batching tiers are tested against. */
     kPerRecord,
     /** Queue and drain at flush boundaries through the handler table
      *  (DispatchEngine::consumeBatch). The default. */
@@ -192,7 +195,8 @@ struct LbaConfig
      * flush boundary precedes the next
      * application-core cache access, so the cache-access interleaving —
      * and therefore every cycle count — is identical to the kPerRecord
-     * path (asserted by tests/dispatch_batch_test.cpp and
+     * path, which consumes each record immediately through the same
+     * handler table (asserted by tests/dispatch_batch_test.cpp and
      * tests/dispatch_fused_test.cpp).
      */
     DispatchTier dispatch_tier = DispatchTier::kBatched;

@@ -14,9 +14,6 @@ namespace lba::lifeguard {
 CompiledDispatch
 compileHandlers(const Lifeguard& lifeguard, const ir::LifeguardIR& ir)
 {
-    LBA_ASSERT(lifeguard.usesHandlerTable(),
-               "IR descriptions require the handler-table style; a "
-               "legacy handleEvent() override has no table to mirror");
     CompiledDispatch compiled;
     const auto& table = lifeguard.handlers();
     for (std::size_t t = 0; t < table.size(); ++t) {

@@ -7,49 +7,19 @@
 
 namespace lba::lifeguard {
 
-namespace {
-
-/** Resolved slot for a legacy lifeguard: the virtual fallback. */
-void
-virtualHandler(Lifeguard& self, const log::EventRecord& record,
-               CostSink& cost)
-{
-    self.handleEvent(record, cost);
-}
-
-/** Resolved slot for an unregistered type on a table lifeguard. */
-void
-ignoreHandler(Lifeguard&, const log::EventRecord&, CostSink&)
-{
-}
-
-} // namespace
-
 DispatchEngine::DispatchEngine(Lifeguard& lifeguard,
                                mem::CacheHierarchy& hierarchy,
                                const DispatchConfig& config)
-    : lifeguard_(lifeguard),
-      config_(config),
-      hierarchy_(hierarchy),
-      sink_(hierarchy, config.core)
+    : lifeguard_(lifeguard), config_(config), sink_(hierarchy, config.core)
 {
     // Engines are built on the thread that drives the run — the
     // coordinator by construction, before any worker exists (the same
     // claim PipelineTimer's constructor makes). Assuming the role here
     // lets construction-time work carry coordinator-only annotations.
     threading::assumeCoordinatorRole();
-    // Late registration would diverge from this snapshot (and the
-    // batched path from the per-record path): freeze the table.
+    // The compiled IR below mirrors the table as it is now; late
+    // registration would make the fused tier diverge from the others.
     lifeguard.sealHandlerTable();
-    const auto& table = lifeguard.handlers();
-    for (std::size_t t = 0; t < table.size(); ++t) {
-        if (table[t]) {
-            resolved_[t] = table[t];
-        } else {
-            resolved_[t] = lifeguard.usesHandlerTable() ? &ignoreHandler
-                                                        : &virtualHandler;
-        }
-    }
     // Fused tier: lower the lifeguard's IR description, when it has
     // one, into the specialized drain table (coordinator-only step).
     if (const ir::LifeguardIR* ir = lifeguard.handlerIR()) {
@@ -59,27 +29,14 @@ DispatchEngine::DispatchEngine(Lifeguard& lifeguard,
 }
 
 Cycles
-DispatchEngine::consumeTable(const log::EventRecord& record)
-{
-    return dispatchOne(record);
-}
-
-Cycles
 DispatchEngine::consume(const log::EventRecord& record)
 {
-    lifeguard_.handleEvent(record, sink_);
-    return account(record, config_.dispatch_cycles + sink_.take());
-}
-
-Cycles
-DispatchEngine::dispatchOne(const log::EventRecord& record)
-{
     Lifeguard::Handler handler =
-        resolved_[static_cast<std::size_t>(record.type)];
-    if (handler == &ignoreHandler) {
+        lifeguard_.handlers()[static_cast<std::size_t>(record.type)];
+    if (!handler) {
         // Unregistered type: dispatch cost only, no handler call,
         // nothing in the sink — the hardware's "handler is just nlba"
-        // case, and exactly what consumeTable() charges.
+        // case.
         return account(record, config_.dispatch_cycles);
     }
     handler(lifeguard_, record, sink_);
@@ -93,7 +50,7 @@ DispatchEngine::consumeBatch(const log::EventRecord* records,
     ++functional_.batches;
     Cycles total = 0;
     for (std::size_t i = 0; i < count; ++i) {
-        Cycles cycles = dispatchOne(records[i]);
+        Cycles cycles = consume(records[i]);
         if (costs) costs[i] = cycles;
         total += cycles;
     }
@@ -147,7 +104,7 @@ DispatchEngine::fusedDrain(const log::EventRecord* records,
             timing_.cycles_by_type[t] += run;
             total += run;
         } else {
-            ir::DirectCost cost(hierarchy_, config_.core);
+            ir::DirectCost& cost = sink_;
             for (std::size_t k = i; k < j; ++k) {
                 const log::EventRecord& record = records[k];
                 runIrProgram(*handler.program, lifeguard_, record, cost);
@@ -174,37 +131,6 @@ DispatchEngine::consumeBatchFused(const log::EventRecord* records,
     return fusedDrain(records, count, costs);
 }
 
-namespace {
-
-/** CostSink capturing handler costs into a DeferredBatch (threaded
- *  phase 1) instead of charging the hierarchy. */
-class RecordingSink : public CostSink
-{
-  public:
-    RecordingSink(DeferredBatch& batch, DeferredBatch::PerRecord& record)
-        : batch_(batch), record_(record)
-    {
-    }
-
-    void instrs(std::uint32_t count) override
-    {
-        record_.instr_cycles += count;
-    }
-
-    void
-    memAccess(Addr addr, bool is_write) override
-    {
-        batch_.ops.push_back({addr, is_write});
-        ++record_.num_ops;
-    }
-
-  private:
-    DeferredBatch& batch_;
-    DeferredBatch::PerRecord& record_;
-};
-
-} // namespace
-
 void
 DispatchEngine::consumeBatchDeferred(const log::EventRecord* records,
                                      std::size_t count,
@@ -213,15 +139,17 @@ DispatchEngine::consumeBatchDeferred(const log::EventRecord* records,
     ++functional_.batches;
     out.clear();
     out.records.reserve(count);
+    CostSinkOf<ir::DeferredCost> sink(out.ops);
+    const auto& table = lifeguard_.handlers();
     for (std::size_t i = 0; i < count; ++i) {
         const log::EventRecord& record = records[i];
         DeferredBatch::PerRecord per;
         per.first_op = static_cast<std::uint32_t>(out.ops.size());
-        Lifeguard::Handler handler =
-            resolved_[static_cast<std::size_t>(record.type)];
-        if (handler != &ignoreHandler) {
-            RecordingSink sink(out, per);
+        if (Lifeguard::Handler handler =
+                table[static_cast<std::size_t>(record.type)]) {
             handler(lifeguard_, record, sink);
+            per.instr_cycles = sink.takeInstrs();
+            per.num_ops = sink.takeOps();
         }
         out.records.push_back(per);
         // Functional half of account(): the record counters. The cycle
@@ -291,15 +219,16 @@ DispatchEngine::replayDeferred(const log::EventRecord& record,
                                const DeferredBatch& batch, std::size_t i)
 {
     const DeferredBatch::PerRecord& per = batch.records[i];
-    Cycles cycles = config_.dispatch_cycles + per.instr_cycles;
-    // Same arithmetic as Sink: each metadata access costs its own
-    // cycle plus the hierarchy penalty, charged in execution order so
-    // the shared-L2 state evolves exactly as on the serial path.
+    // Each captured metadata access is charged through the same cost
+    // rule consume() uses, in execution order, so the shared-L2 state
+    // evolves exactly as on the serial path.
+    ir::DirectCost& cost = sink_;
     for (std::uint32_t op = 0; op < per.num_ops; ++op) {
         const DeferredBatch::MemOp& mem = batch.ops[per.first_op + op];
-        sink_.memAccess(mem.addr, mem.is_write);
+        cost.memAccess(mem.addr, mem.is_write);
     }
-    cycles += sink_.take();
+    Cycles cycles =
+        config_.dispatch_cycles + per.instr_cycles + cost.take();
     timing_.total_cycles += cycles;
     timing_.cycles_by_type[static_cast<std::size_t>(record.type)] +=
         cycles;

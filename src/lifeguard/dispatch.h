@@ -11,21 +11,19 @@
  * pipelines with the previous handler; we charge a small fixed dispatch
  * cost per record (default 1 cycle).
  *
- * Host-side dispatch mirrors that table, in three tiers. At
- * construction the engine *resolves* the lifeguard's handler table: a
- * registered handler is entered directly; for legacy lifeguards (no
- * registrations) every slot falls back to the virtual handleEvent()
- * call; for table-style lifeguards an unregistered event type resolves
- * to a no-op. consume() is the retained per-record virtual tier; the
- * batched tier (consumeBatch) drains whole record spans through the
- * resolved table; the fused tier (consumeBatchFused) goes further —
- * when the lifeguard describes its handlers as IR (ir.h), the engine
- * lowers the description once at construction (compiler.h) and drains
- * each same-event-type run through a specialized loop with no
- * per-record indirect call at all (lifeguards without an IR
- * description transparently fall back to the batched tier). All tiers
- * charge identical simulated cycles for the same record stream; only
- * host speed differs (bench/micro_dispatch.cc,
+ * Host-side dispatch mirrors that table, in three tiers, all reading
+ * the lifeguard's one handler table (Lifeguard::handlers()): a
+ * registered handler is entered directly, an unregistered event type
+ * costs dispatch cycles only. consume() dispatches one record; the
+ * batched tier (consumeBatch) drains whole record spans through it;
+ * the fused tier (consumeBatchFused) goes further — when the lifeguard
+ * describes its handlers as IR (ir.h), the engine lowers the
+ * description once at construction (compiler.h) and drains each
+ * same-event-type run through a specialized loop with no per-record
+ * indirect call at all (lifeguards without an IR description
+ * transparently fall back to the batched tier). All tiers charge
+ * identical simulated cycles for the same record stream; only host
+ * speed differs (bench/micro_dispatch.cc,
  * tests/dispatch_fused_test.cpp).
  *
  * Handler work is charged through a CostSink that routes metadata accesses
@@ -70,8 +68,31 @@ struct DispatchStats
     Cycles total_cycles = 0;
     std::array<std::uint64_t, log::kNumEventTypes> records_by_type{};
     std::array<Cycles, log::kNumEventTypes> cycles_by_type{};
-    /** consumeBatch()/consumeBatchDeferred() calls (0 per-record). */
+    /** Batch drains (consumeBatch*() calls); records consumed one at
+     *  a time through consume() count none. */
     std::uint64_t batches = 0;
+};
+
+/**
+ * The virtual CostSink the table handlers charge, as an adapter over
+ * one of the fused tier's cost flavours (ir::DirectCost charges the
+ * shared hierarchy, ir::DeferredCost captures costs for a later
+ * replay). The cost rule lives in the flavour, so the handler table
+ * and the compiled IR charge through the same arithmetic.
+ */
+template <typename Cost>
+class CostSinkOf final : public CostSink, public Cost
+{
+  public:
+    using Cost::Cost;
+
+    void instrs(std::uint32_t count) override { Cost::instrs(count); }
+
+    void
+    memAccess(Addr addr, bool is_write) override
+    {
+        Cost::memAccess(addr, is_write);
+    }
 };
 
 /**
@@ -90,8 +111,8 @@ struct DispatchStats
  */
 struct DeferredBatch
 {
-    /** One captured metadata access (shared with the fused tier's
-     *  DeferredCost, which pushes into `ops` directly). */
+    /** One captured metadata access (ir::DeferredCost pushes into
+     *  `ops` directly, on the batched and fused tiers alike). */
     using MemOp = ir::MemOp;
 
     struct PerRecord
@@ -126,8 +147,9 @@ class DispatchEngine
      * @param lifeguard The lifeguard whose handlers consume records.
      *                  Its handler table must be fully registered (i.e.
      *                  its constructor has run) before the engine is
-     *                  built; the engine resolves the table once, here,
-     *                  and seals it (late setHandler() calls assert).
+     *                  built; the engine compiles its IR against the
+     *                  table here and seals it (late setHandler() calls
+     *                  assert).
      * @param hierarchy Cache hierarchy shared with the application core.
      * @param config    Dispatch tunables.
      */
@@ -149,25 +171,17 @@ class DispatchEngine
 
     /**
      * Consume one record: dispatch + handler execution, through the
-     * virtual handleEvent() path (the retained per-record baseline).
-     * Serial path: charges the shared hierarchy directly, so the
-     * caller must be the coordinator *and* own the functional side.
+     * handler table. Serial path: charges the shared hierarchy
+     * directly, so the caller must be the coordinator *and* own the
+     * functional side.
      * @return Cycles the lifeguard core spent on this record.
      */
     Cycles consume(const log::EventRecord& record)
         LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
 
     /**
-     * Consume one record through the resolved handler table (no
-     * virtual dispatch). Charges exactly the cycles consume() would.
-     * @return Cycles the lifeguard core spent on this record.
-     */
-    Cycles consumeTable(const log::EventRecord& record)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
-    /**
-     * Drain a contiguous record batch through the handler table, in
-     * order. When @p costs is non-null, costs[i] receives record i's
+     * Drain a contiguous record batch through consume(), in order.
+     * When @p costs is non-null, costs[i] receives record i's
      * cycles (the timing engine folds them into its recurrence).
      * @return Total cycles across the batch.
      */
@@ -268,43 +282,6 @@ class DispatchEngine
     Lifeguard& lifeguard() { return lifeguard_; }
 
   private:
-    /** CostSink charging the lifeguard core. */
-    class Sink : public CostSink
-    {
-      public:
-        Sink(mem::CacheHierarchy& hierarchy, unsigned core)
-            : hierarchy_(hierarchy), core_(core)
-        {
-        }
-
-        void instrs(std::uint32_t count) override { cycles_ += count; }
-
-        void
-        memAccess(Addr addr, bool is_write) override
-        {
-            cycles_ += 1 + hierarchy_.dataAccess(core_, addr, is_write);
-        }
-
-        Cycles take()
-        {
-            Cycles c = cycles_;
-            cycles_ = 0;
-            return c;
-        }
-
-      private:
-        mem::CacheHierarchy& hierarchy_;
-        unsigned core_;
-        Cycles cycles_ = 0;
-    };
-
-    /** Dispatch one record through the resolved table, with the
-     *  unregistered-type fast path (batched loops). Runs the handler
-     *  (functional side) and charges the shared hierarchy through
-     *  sink_ (coordinator), so it is a serial-path helper. */
-    Cycles dispatchOne(const log::EventRecord& record)
-        LBA_REQUIRES(::lba::threading::coordinator_role, functional_side_);
-
     /** The fused serial drain loop (see consumeBatchFused). Carries
      *  the same capability requirements as the serial batched loops
      *  it replaces. */
@@ -348,15 +325,13 @@ class DispatchEngine
 
     Lifeguard& lifeguard_;
     DispatchConfig config_;
-    /** For the fused tier's DirectCost (same hierarchy sink_ wraps). */
-    mem::CacheHierarchy& hierarchy_;
-    /** Charges the shared, order-sensitive hierarchy — coordinator
-     *  territory (workers capture costs into DeferredBatch instead). */
-    Sink sink_ LBA_GUARDED_BY(::lba::threading::coordinator_role);
+    /** Charges the lifeguard core against the shared, order-sensitive
+     *  hierarchy — coordinator territory (workers capture costs into
+     *  DeferredBatch instead). */
+    CostSinkOf<ir::DirectCost> sink_
+        LBA_GUARDED_BY(::lba::threading::coordinator_role);
     FunctionalCounts functional_ LBA_GUARDED_BY(functional_side_);
     TimingCounts timing_ LBA_GUARDED_BY(::lba::threading::coordinator_role);
-    /** Handler table with the null slots resolved (see file comment). */
-    std::array<Lifeguard::Handler, log::kNumEventTypes> resolved_;
     /** The lifeguard's lowered IR (valid when fused_; compiled once,
      *  at construction, on the coordinating thread). */
     CompiledDispatch compiled_;

@@ -33,10 +33,10 @@
  * ONCE as a template over the cost accumulator and instantiate it for
  * the virtual CostSink path (per-record and batched tiers), for
  * DirectCost (fused serial tier) and for DeferredCost (fused threaded
- * tier). The two fused accumulators reproduce exactly the arithmetic of
- * DispatchEngine's internal sinks, so every tier charges identical
- * simulated cycles for identical record streams — the invariant
- * tests/dispatch_fused_test.cpp proves differentially.
+ * tier). DispatchEngine's own CostSinks are adapters over these same
+ * two accumulators (CostSinkOf, dispatch.h), so every tier charges
+ * identical simulated cycles for identical record streams — the
+ * invariant tests/dispatch_fused_test.cpp proves differentially.
  *
  * docs/LIFEGUARD_GUIDE.md ("Describing handlers as IR") is the
  * authoring walkthrough; docs/ARCHITECTURE.md covers the three dispatch
@@ -66,10 +66,9 @@ struct MemOp
 
 /**
  * Fused cost accumulator, serial flavour: charges the shared cache
- * hierarchy directly. Mirrors DispatchEngine's internal CostSink
- * arithmetic exactly (each metadata access costs its own cycle plus
- * the hierarchy penalty), but with no virtual dispatch between the
- * handler body and the accumulator.
+ * hierarchy directly — each metadata access costs its own cycle plus
+ * the hierarchy penalty — with no virtual dispatch between the handler
+ * body and the accumulator. DispatchEngine's serial CostSink wraps it.
  */
 class DirectCost
 {
@@ -105,9 +104,9 @@ class DirectCost
 /**
  * Fused cost accumulator, deferred flavour (threaded execution):
  * captures instruction cycles and ordered metadata accesses for the
- * coordinator to replay through the shared hierarchy later. Mirrors
- * the batched tier's recording sink, so DispatchEngine::replayDeferred
- * charges identical cycles either way.
+ * coordinator to replay through the shared hierarchy later. The
+ * batched tier's deferred CostSink wraps it, so
+ * DispatchEngine::replayDeferred charges identical cycles either way.
  */
 class DeferredCost
 {

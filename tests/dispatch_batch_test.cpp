@@ -4,12 +4,13 @@
  * the same program and configuration, `dispatch_tier = kBatched` (the
  * default: records drained in batches through the per-event-type
  * handler tables) must be cycle-identical — every stat, every finding
- * — to `dispatch_tier = kPerRecord` (the retained per-record virtual
- * path), across the serial system, the parallel system with shards in
- * {1, 2, 4}, a one-tenant pool, and a containment run that actually
- * rewinds. This is the invariant that makes the fast path safe: any
- * model drift between the two dispatch implementations is a test
- * failure here, not a silent fork.
+ * — to `dispatch_tier = kPerRecord` (each record consumed through the
+ * same tables the moment it is logged), across the serial system, the
+ * parallel system with shards in {1, 2, 4}, a one-tenant pool, and a
+ * containment run that actually rewinds. This is the invariant that
+ * makes moving flush boundaries safe: any model drift between
+ * immediate and deferred consumption is a test failure here, not a
+ * silent fork.
  */
 
 #include <gtest/gtest.h>

@@ -4,13 +4,13 @@
  * and configuration, `dispatch_tier = kFused` (record runs drained
  * through compiled handler IR — lifeguard/compiler.h) must be
  * cycle-identical — every stat, every finding — to both `kBatched`
- * (the handler-table tier) and `kPerRecord` (the retained virtual
- * baseline), across the serial system, the parallel system with shards
- * in {1, 2, 4}, a one-tenant pool, a containment run that actually
- * rewinds, and threaded host execution. This is the invariant that
- * makes the fastest tier safe: any model drift between the compiled
- * loops and the handler bodies is a test failure here, not a silent
- * fork.
+ * (the handler-table tier) and `kPerRecord` (immediate consumption
+ * through the same table), across the serial system, the parallel
+ * system with shards in {1, 2, 4}, a one-tenant pool, a containment
+ * run that actually rewinds, and threaded host execution. This is the
+ * invariant that makes the fastest tier safe: any model drift between
+ * the compiled loops and the handler bodies is a test failure here,
+ * not a silent fork.
  */
 
 #include <gtest/gtest.h>

@@ -67,14 +67,23 @@ TEST(ShadowMemory, LargeStructEntries)
     EXPECT_EQ(shadow.find(0x2004)->lockset, 99u);
 }
 
-/** A lifeguard with a deterministic per-event cost, for dispatch tests. */
+/** A lifeguard with a deterministic per-event cost, for dispatch tests
+ *  (one handler registered for every event type). */
 class FixedCostLifeguard : public Lifeguard
 {
   public:
+    FixedCostLifeguard()
+    {
+        for (std::size_t t = 0; t < log::kNumEventTypes; ++t) {
+            onEvent<&FixedCostLifeguard::onAny>(
+                static_cast<log::EventType>(t));
+        }
+    }
+
     const char* name() const override { return "FixedCost"; }
 
     void
-    handleEvent(const log::EventRecord& record, CostSink& cost) override
+    onAny(const log::EventRecord& record, CostSink& cost)
     {
         ++events;
         cost.instrs(5);
@@ -201,7 +210,6 @@ class TableLifeguard : public Lifeguard
 TEST(HandlerTable, RegistrationPopulatesTable)
 {
     TableLifeguard guard;
-    EXPECT_TRUE(guard.usesHandlerTable());
     const auto& table = guard.handlers();
     EXPECT_NE(table[static_cast<std::size_t>(log::EventType::kIntAlu)],
               nullptr);
@@ -209,16 +217,13 @@ TEST(HandlerTable, RegistrationPopulatesTable)
               nullptr);
     EXPECT_EQ(table[static_cast<std::size_t>(log::EventType::kStore)],
               nullptr);
-
-    FixedCostLifeguard legacy;
-    EXPECT_FALSE(legacy.usesHandlerTable());
 }
 
-TEST(HandlerTable, BaseShimDispatchesThroughTable)
+TEST(HandlerTable, HandleEventDispatchesThroughTable)
 {
-    // handleEvent() on a table lifeguard reaches the registered
-    // handler — so direct callers (tests, the DBI platform) and the
-    // dispatch engine see the same behaviour.
+    // handleEvent() reaches the registered handler — so direct callers
+    // (tests, the DBI platform) and the dispatch engine see the same
+    // behaviour.
     TableLifeguard guard;
     NullCostSink sink;
     log::EventRecord alu;
@@ -234,30 +239,6 @@ TEST(HandlerTable, BaseShimDispatchesThroughTable)
     EXPECT_EQ(guard.load_events, 0);
 }
 
-TEST(HandlerTable, TableAndVirtualPathsChargeIdenticalCycles)
-{
-    log::EventRecord alu;
-    alu.type = log::EventType::kIntAlu;
-    log::EventRecord load;
-    load.type = log::EventType::kLoad;
-    load.addr = 0x20000;
-    log::EventRecord store; // unregistered
-    store.type = log::EventType::kStore;
-
-    auto run = [&](bool table_path) {
-        TableLifeguard guard;
-        mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-        DispatchEngine engine(guard, hierarchy, {1, 1});
-        Cycles total = 0;
-        for (const auto* rec : {&alu, &load, &store, &load, &alu}) {
-            total += table_path ? engine.consumeTable(*rec)
-                                : engine.consume(*rec);
-        }
-        return total;
-    };
-    EXPECT_EQ(run(true), run(false));
-}
-
 TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
 {
     std::vector<log::EventRecord> records;
@@ -268,6 +249,10 @@ TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
         rec.addr = 0x20000 + static_cast<Addr>(i) * 64;
         records.push_back(rec);
     }
+    // An unregistered type costs dispatch cycles only, on both paths.
+    log::EventRecord store;
+    store.type = log::EventType::kStore;
+    records.insert(records.begin() + 10, store);
 
     TableLifeguard batched_guard;
     mem::CacheHierarchy batched_hierarchy(mem::HierarchyConfig{});
@@ -286,6 +271,7 @@ TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
         expected += c;
     }
     EXPECT_EQ(total, expected);
+    EXPECT_EQ(costs[10], 1u); // the kStore record: dispatch(1) only
     EXPECT_EQ(batched.stats().records, per_record.stats().records);
     EXPECT_EQ(batched.stats().total_cycles,
               per_record.stats().total_cycles);
@@ -295,30 +281,20 @@ TEST(HandlerTable, ConsumeBatchMatchesPerRecordConsume)
     EXPECT_EQ(batched_guard.alu_events, record_guard.alu_events);
 }
 
-TEST(HandlerTable, LegacyLifeguardFallsBackToVirtualDispatch)
-{
-    // A lifeguard that never registered handlers must still work
-    // through the batched path (resolved to the virtual fallback).
-    FixedCostLifeguard guard;
-    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
-    DispatchEngine engine(guard, hierarchy, {1, 1});
-    log::EventRecord alu;
-    alu.type = log::EventType::kIntAlu;
-    std::vector<log::EventRecord> records(5, alu);
-    Cycles total =
-        engine.consumeBatch(records.data(), records.size(), nullptr);
-    EXPECT_EQ(guard.events, 5);
-    EXPECT_EQ(total, 5u * 6u); // dispatch(1) + instrs(5)
-}
-
 TEST(Lifeguard, FindingAccumulation)
 {
     class Reporter : public Lifeguard
     {
       public:
+        Reporter()
+        {
+            for (std::size_t t = 0; t < log::kNumEventTypes; ++t) {
+                onEvent<&Reporter::onAny>(static_cast<log::EventType>(t));
+            }
+        }
         const char* name() const override { return "R"; }
         void
-        handleEvent(const log::EventRecord&, CostSink&) override
+        onAny(const log::EventRecord&, CostSink&)
         {
             report({FindingKind::kOther, 0, 0, 0, "x"});
         }

@@ -41,12 +41,16 @@ class FixedCostLifeguard : public lifeguard::Lifeguard
                                 std::uint32_t finish_instrs = 0)
         : handler_instrs_(handler_instrs), finish_instrs_(finish_instrs)
     {
+        for (std::size_t t = 0; t < log::kNumEventTypes; ++t) {
+            onEvent<&FixedCostLifeguard::onAny>(
+                static_cast<log::EventType>(t));
+        }
     }
 
     const char* name() const override { return "FixedCost"; }
 
     void
-    handleEvent(const log::EventRecord&, lifeguard::CostSink& cost) override
+    onAny(const log::EventRecord&, lifeguard::CostSink& cost)
     {
         cost.instrs(handler_instrs_);
     }

@@ -142,6 +142,18 @@ TEST_F(SmokeTest, LbaRunTrailingValueFlagIsUsageErrorNotCrash)
                       " gzip addrcheck --platform dbi"
                       " --containment patch >/dev/null 2>&1";
     EXPECT_EQ(runCommand(dbi), 2);
+    // Flag combinations that would silently run something other than
+    // what was asked: an unknown platform, a DBI or sharded pool, a
+    // sharded DBI run.
+    for (const char* args :
+         {" --platform lbx", " --platform=lbx",
+          " --tenants 2 --platform dbi", " --tenants 2 --shards 2",
+          " --platform dbi --shards 2"}) {
+        std::string cmd = std::string(LBA_RUN_PATH) +
+                          " gzip addrcheck --instrs 15000" + args +
+                          " >/dev/null 2>&1";
+        EXPECT_EQ(runCommand(cmd), 2) << "args: " << args;
+    }
 }
 
 /**

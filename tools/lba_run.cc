@@ -16,7 +16,9 @@
  *
  * With --tenants N the benchmark argument may be a comma-separated
  * list of profiles; the N tenants cycle through it and share an M-lane
- * lifeguard pool under the chosen scheduling policy (src/sched/).
+ * lifeguard pool under the chosen scheduling policy (src/sched/). The
+ * pool is LBA-only and unsharded, so --platform dbi and --shards are
+ * usage errors there, as --shards is on a DBI-only run.
  * Every flag takes its value as `--flag value` or `--flag=value`;
  * numeric values must be plain non-negative decimal numbers that fit
  * their type (anything else is a usage error, exit 2).
@@ -25,16 +27,16 @@
  * lifeguard-core dispatch tier: `batched` (the default) drains records
  * in batches through the per-event-type handler tables, `fused` drains
  * the same batches through compiled handler IR (specialized loops, no
- * per-record table lookup), `per-record` is the retained
- * virtual-dispatch baseline; all three are cycle-identical by construction
- * (docs/ARCHITECTURE.md). --execution selects the host execution mode:
- * `threaded` runs lifeguard handlers on one worker thread per lane
- * while every simulated cycle count stays bit-identical to `serial`
- * (docs/ARCHITECTURE.md "Threaded execution"); it requires a batching
- * dispatch tier. --codec selects the registered log codec the
- * transport accounting runs (`predictor` is the default; see
- * `lba_trace codecs` for the registry). --json writes a
- * machine-readable copy of the report to PATH.
+ * per-record table lookup), `per-record` consumes each record the
+ * moment it is logged through the same handler tables; all three are
+ * cycle-identical by construction (docs/ARCHITECTURE.md). --execution
+ * selects the host execution mode: `threaded` runs lifeguard handlers
+ * on one worker thread per lane while every simulated cycle count
+ * stays bit-identical to `serial` (docs/ARCHITECTURE.md "Threaded
+ * execution"); it requires a batching dispatch tier. --codec selects
+ * the registered log codec the transport accounting runs (`predictor`
+ * is the default; see `lba_trace codecs` for the registry). --json
+ * writes a machine-readable copy of the report to PATH.
  */
 
 #include <charconv>
@@ -449,6 +451,8 @@ main(int argc, char** argv)
             ok = parseNumber(value, &instrs);
         } else if (arg == "--platform") {
             platform = value;
+            ok = platform == "lba" || platform == "dbi" ||
+                 platform == "both";
         } else if (arg == "--shards") {
             ok = parseNumber(value, &shards);
         } else if (arg == "--tenants") {
@@ -498,11 +502,24 @@ main(int argc, char** argv)
                              "--containment <policy>\n");
         return usage();
     }
-    if (containment.enabled && platform == "dbi" && tenants == 0) {
+    if (containment.enabled && platform == "dbi") {
         // Containment is an LBA-platform feature; a DBI-only run would
         // silently ignore the flag.
         std::fprintf(stderr, "--containment requires an LBA platform "
                              "(--platform lba|both)\n");
+        return usage();
+    }
+    if (shards > 1 && platform == "dbi") {
+        std::fprintf(stderr, "--shards requires an LBA platform "
+                             "(--platform lba|both)\n");
+        return usage();
+    }
+    if (tenants > 0 && (platform == "dbi" || shards > 1)) {
+        // The pool runs LBA lanes only, sized by --lanes: a DBI
+        // platform or a shard count would be silently ignored.
+        std::fprintf(stderr, "--tenants runs the LBA lifeguard pool; "
+                             "it takes neither --platform dbi nor "
+                             "--shards (use --lanes)\n");
         return usage();
     }
     if (!compress::CodecRegistry::instance().find(codec)) {
