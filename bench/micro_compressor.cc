@@ -1,15 +1,14 @@
 /**
  * @file
- * MICRO-COMP: google-benchmark microbenchmarks of the log compressor —
- * compression/decompression throughput and predictor-hit behaviour on
- * characteristic record streams. Supports the Section 2 bandwidth
+ * MICRO-COMP: google-benchmark microbenchmarks of the log codec —
+ * compression/decompression throughput (decode behind a roundtrip
+ * check) and predictor-hit behaviour on characteristic record streams. Supports the Section 2 bandwidth
  * argument: the compress engine must keep up with instruction retirement.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "compress/compressor.h"
-#include "compress/registry.h"
+#include "compress/codec.h"
 #include "log/capture.h"
 #include "sim/process.h"
 #include "workload/generator.h"
@@ -57,14 +56,26 @@ benchmarkTrace()
     return trace;
 }
 
+/** Encode @p trace and seal the stream. */
+std::vector<std::uint8_t>
+encodeAll(const std::vector<log::EventRecord>& trace)
+{
+    compress::Encoder encoder;
+    for (const auto& r : trace) encoder.append(r);
+    encoder.finishStream();
+    std::vector<std::uint8_t> payload(encoder.pullableBytes());
+    encoder.pull(payload.data(), payload.size());
+    return payload;
+}
+
 void
 BM_CompressStrided(benchmark::State& state)
 {
     auto trace = stridedTrace(4096);
     for (auto _ : state) {
-        compress::LogCompressor c;
+        compress::Encoder c;
         for (const auto& r : trace) c.append(r);
-        benchmark::DoNotOptimize(c.bits());
+        benchmark::DoNotOptimize(c.bitsWritten());
     }
     state.SetItemsProcessed(state.iterations() * trace.size());
 }
@@ -75,13 +86,13 @@ BM_CompressBenchmarkTrace(benchmark::State& state)
 {
     const auto& trace = benchmarkTrace();
     for (auto _ : state) {
-        compress::LogCompressor c;
+        compress::Encoder c;
         for (const auto& r : trace) c.append(r);
-        benchmark::DoNotOptimize(c.bits());
+        benchmark::DoNotOptimize(c.bitsWritten());
     }
     state.SetItemsProcessed(state.iterations() * trace.size());
     // Report the headline metric alongside throughput.
-    compress::LogCompressor c;
+    compress::Encoder c;
     for (const auto& r : trace) c.append(r);
     state.counters["bytes_per_record"] = c.bytesPerRecord();
 }
@@ -91,80 +102,32 @@ void
 BM_DecompressBenchmarkTrace(benchmark::State& state)
 {
     const auto& trace = benchmarkTrace();
-    compress::LogCompressor c;
-    for (const auto& r : trace) c.append(r);
-    for (auto _ : state) {
-        compress::LogDecompressor d(c.bytes());
-        for (std::size_t i = 0; i < trace.size(); ++i) {
-            benchmark::DoNotOptimize(d.next());
+    const std::vector<std::uint8_t> payload = encodeAll(trace);
+    log::EventRecord record;
+    {
+        // Roundtrip check: a decoder that cannot reproduce the stream
+        // has no throughput worth reporting.
+        compress::Decoder d;
+        d.push(payload.data(), payload.size());
+        d.finishInput();
+        for (const auto& expected : trace) {
+            if (d.next(&record) != compress::DecodeStatus::kOk ||
+                !(record == expected)) {
+                state.SkipWithError("roundtrip mismatch");
+                return;
+            }
         }
     }
-    state.SetItemsProcessed(state.iterations() * trace.size());
-}
-BENCHMARK(BM_DecompressBenchmarkTrace);
-
-void
-BM_CodecEncode(benchmark::State& state, const std::string& name)
-{
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(name);
-    const auto& trace = benchmarkTrace();
-    std::uint8_t sink[256];
     for (auto _ : state) {
-        auto encoder = info->makeEncoder();
-        for (const auto& r : trace) {
-            encoder->append(r);
-            // Drain as we go, like the transport does; keeps the
-            // byte-aligned codecs' buffers flat.
-            while (std::size_t n = encoder->pull(sink, sizeof sink))
-                benchmark::DoNotOptimize(n);
-        }
-        encoder->finishStream();
-        while (std::size_t n = encoder->pull(sink, sizeof sink))
-            benchmark::DoNotOptimize(n);
-    }
-    state.SetItemsProcessed(state.iterations() * trace.size());
-    auto encoder = info->makeEncoder();
-    for (const auto& r : trace) encoder->append(r);
-    encoder->finishStream();
-    state.counters["bytes_per_record"] = encoder->bytesPerRecord();
-}
-
-void
-BM_CodecDecode(benchmark::State& state, const std::string& name)
-{
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(name);
-    const auto& trace = benchmarkTrace();
-    auto encoder = info->makeEncoder();
-    for (const auto& r : trace) encoder->append(r);
-    encoder->finishStream();
-    std::vector<std::uint8_t> payload(encoder->pullableBytes());
-    encoder->pull(payload.data(), payload.size());
-    for (auto _ : state) {
-        auto decoder = info->makeDecoder();
-        decoder->push(payload.data(), payload.size());
-        decoder->finishInput();
-        log::EventRecord record;
-        while (decoder->next(&record) == compress::DecodeStatus::kOk)
+        compress::Decoder d;
+        d.push(payload.data(), payload.size());
+        d.finishInput();
+        while (d.next(&record) == compress::DecodeStatus::kOk)
             benchmark::DoNotOptimize(record);
     }
     state.SetItemsProcessed(state.iterations() * trace.size());
 }
-
-// Streaming encode/decode throughput for every registered codec on
-// the benchmark-derived trace — registered dynamically so new codecs
-// are measured the moment the registry knows them.
-const int kCodecBenchesRegistered = [] {
-    for (const std::string& name :
-         compress::CodecRegistry::instance().names()) {
-        benchmark::RegisterBenchmark(
-            ("BM_CodecEncode/" + name).c_str(), BM_CodecEncode, name);
-        benchmark::RegisterBenchmark(
-            ("BM_CodecDecode/" + name).c_str(), BM_CodecDecode, name);
-    }
-    return 0;
-}();
+BENCHMARK(BM_DecompressBenchmarkTrace);
 
 void
 BM_CaptureRecordFormation(benchmark::State& state)

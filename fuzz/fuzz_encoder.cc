@@ -1,17 +1,15 @@
 /**
  * @file
  * Encoder fuzz harness: arbitrary bytes reinterpreted as event
- * records, pushed through every registered streaming encoder.
+ * records, pushed through the streaming encoder.
  *
- * Input format: byte 0 selects the codec (mod registry size), the
- * rest is consumed in fixed-width strides as packed EventRecord
- * fields (compress/record_gen.h). Codecs that declare
- * kCapCanonicalStreamsOnly get the canonicalized record — that is the
- * documented encoder precondition — while byte-aligned codecs must
- * take any field pattern. The contract under test: append() never
- * aborts, bitsWritten() is monotic per record, records() tracks the
- * append count, and after finishStream() the pullable bytes drain to
- * exactly ceil(bitsWritten/8).
+ * Input format: the whole input is consumed in fixed-width strides as
+ * packed EventRecord fields (compress/record_gen.h), each
+ * canonicalized — capture-shaped records are the documented encoder
+ * precondition. The contract under test: append() never aborts,
+ * bitsWritten() grows with every record, records() tracks the append
+ * count, and after finishStream() the pullable bytes drain to exactly
+ * ceil(bitsWritten/8).
  */
 
 #include <cstddef>
@@ -19,47 +17,36 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "compress/codec.h"
 #include "compress/record_gen.h"
-#include "compress/registry.h"
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     using namespace lba::compress;
-    if (size < 1) return 0;
-    auto& registry = CodecRegistry::instance();
-    auto names = registry.names();
-    const CodecInfo* info =
-        registry.find(names[data[0] % names.size()]);
-    const bool canonical_only =
-        (info->caps & kCapCanonicalStreamsOnly) != 0;
-    data += 1;
-    size -= 1;
-
-    auto encoder = info->makeEncoder();
+    Encoder encoder;
     std::uint64_t appended = 0;
     std::uint64_t pulled = 0;
     std::uint8_t sink[64];
     for (std::size_t pos = 0; pos < size; pos += kRecordStrideBytes) {
         lba::log::EventRecord record =
-            recordFromBytes(data + pos, size - pos);
-        if (canonical_only) record = canonicalize(record);
-        std::uint64_t before = encoder->bitsWritten();
-        encoder->append(record);
+            canonicalize(recordFromBytes(data + pos, size - pos));
+        std::uint64_t before = encoder.bitsWritten();
+        encoder.append(record);
         ++appended;
-        LBA_ASSERT(encoder->bitsWritten() > before,
+        LBA_ASSERT(encoder.bitsWritten() > before,
                    "append must write at least one bit");
-        LBA_ASSERT(encoder->records() == appended,
+        LBA_ASSERT(encoder.records() == appended,
                    "encoder record count out of sync");
         // Interleave pulls: streaming consumers drain mid-encode.
-        pulled += encoder->pull(sink, sizeof sink);
+        pulled += encoder.pull(sink, sizeof sink);
     }
-    encoder->finishStream();
-    while (std::size_t n = encoder->pull(sink, sizeof sink))
+    encoder.finishStream();
+    while (std::size_t n = encoder.pull(sink, sizeof sink))
         pulled += n;
-    LBA_ASSERT(encoder->pullableBytes() == 0,
+    LBA_ASSERT(encoder.pullableBytes() == 0,
                "drained encoder must report nothing pullable");
-    LBA_ASSERT(pulled == (encoder->bitsWritten() + 7) / 8,
+    LBA_ASSERT(pulled == (encoder.bitsWritten() + 7) / 8,
                "drained bytes must equal ceil(bitsWritten/8)");
     return 0;
 }

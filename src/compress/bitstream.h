@@ -1,7 +1,7 @@
 #pragma once
 /**
  * @file
- * Bit-granular output/input streams used by the log compressor.
+ * Bit-granular output/input streams used by the log codec.
  *
  * The compressor's whole point (paper Section 2) is to get the event
  * stream under one byte per instruction, so records must be bit-packed;
@@ -23,7 +23,7 @@ class BitWriter
     /**
      * Append the low @p count bits of @p value (count <= 64), a byte at
      * a time. Out of line (bitstream.cc): the multi-bit fields are the
-     * rare ones, and keeping this body out of the compressor's append
+     * rare ones, and keeping this body out of Encoder::append
      * leaves room to inline writeBit() at every flag.
      */
     void writeBits(std::uint64_t value, unsigned count);
@@ -69,10 +69,10 @@ class BitWriter
 };
 
 /**
- * Outcome of a checked (try*) bit-stream read. kUnderrun is
- * recoverable — the caller may push more bytes, seek back to the
- * record boundary and retry — which is what the streaming decoders'
- * kNeedMore path does; kMalformed is not.
+ * Outcome of a bit-stream read. kUnderrun is recoverable — the
+ * caller may push more bytes, seek back to the record boundary and
+ * retry — which is what the decoder's kNeedMore path does;
+ * kMalformed is not.
  */
 enum class BitsResult : std::uint8_t
 {
@@ -84,14 +84,11 @@ enum class BitsResult : std::uint8_t
 };
 
 /**
- * Sequential bit stream reader over a byte buffer.
- *
- * Two read families: the asserting readBits/readVarint for trusted
- * in-process streams (the transport-accounting path, which only ever
- * reads back what it wrote), and the checked tryReadBits/tryReadVarint
- * for untrusted input, which report underruns and malformed encodings
- * instead of aborting. The referenced byte vector may grow between
- * reads (streaming decoders push chunks into it); it must not shrink.
+ * Sequential bit stream reader over a byte buffer. Every read is
+ * checked: underruns and malformed encodings are reported, never
+ * asserted, because the decoder reads untrusted input. The referenced
+ * byte vector may grow between reads (the streaming decoder pushes
+ * chunks into it); it must not shrink.
  */
 class BitReader
 {
@@ -101,33 +98,10 @@ class BitReader
     {
     }
 
-    /** Read @p count bits (LSB-first order, matching BitWriter). */
-    std::uint64_t
-    readBits(unsigned count)
-    {
-        std::uint64_t value = 0;
-        BitsResult result = tryReadBits(count, &value);
-        LBA_ASSERT(result == BitsResult::kOk, "bit stream underrun");
-        return value;
-    }
-
-    /** Read one bit. */
-    bool readBit() { return readBits(1) != 0; }
-
-    /** Read a varint written by BitWriter::writeVarint. */
-    std::uint64_t
-    readVarint()
-    {
-        std::uint64_t value = 0;
-        BitsResult result = tryReadVarint(&value);
-        LBA_ASSERT(result == BitsResult::kOk, "bad varint");
-        return value;
-    }
-
     /**
-     * Checked read of @p count bits (count <= 64) into @p out.
-     * On kUnderrun the position is left unchanged and *out is
-     * unspecified.
+     * Read @p count bits (count <= 64, LSB-first order, matching
+     * BitWriter) into @p out. On kUnderrun the position is left
+     * unchanged and *out is unspecified.
      */
     BitsResult
     tryReadBits(unsigned count, std::uint64_t* out)
@@ -148,7 +122,7 @@ class BitReader
         return BitsResult::kOk;
     }
 
-    /** Checked read of one bit. */
+    /** Read one bit. */
     BitsResult
     tryReadBit(bool* out)
     {
@@ -159,7 +133,7 @@ class BitReader
     }
 
     /**
-     * Checked varint read. A varint whose continuation groups extend
+     * Read a varint written by BitWriter::writeVarint. A varint whose continuation groups extend
      * past 64 value bits is kMalformed (an untrusted stream must not
      * be able to spin this loop); the position is then unspecified and
      * the caller is expected to seek back or abandon the stream.
@@ -199,9 +173,6 @@ class BitReader
         LBA_ASSERT(pos <= bytes_.size() * 8, "seek past end");
         pos_ = pos;
     }
-
-    /** True when every complete byte has been consumed. */
-    bool exhausted() const { return pos_ >= bytes_.size() * 8; }
 
   private:
     const std::vector<std::uint8_t>& bytes_;

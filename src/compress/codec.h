@@ -1,20 +1,37 @@
 #pragma once
 /**
  * @file
- * The codec abstraction of the compression subsystem: a uniform
- * streaming Encoder/Decoder pair interface that every log codec
- * implements, plus the typed error model for decoding untrusted input.
+ * The log codec: value-prediction compression of the event stream (the
+ * paper's "compress" / "decompress" engines, adapted from Burtscher's
+ * VPC [1]), with a streaming Encoder/Decoder pair and the typed error
+ * model for decoding untrusted input.
  *
- * Why a registry of codecs (compress/registry.h) instead of the one
- * hard-wired predictor compressor: the inter-core log transport
- * bandwidth bounds every lifeguard's slowdown (paper Section 2), and
- * different record streams compress best under different models — the
- * value-prediction codec wins on instruction streams, a dictionary
- * codec on streams dominated by repeated records, and a plain
- * varint-delta codec trades ratio for the cheapest host encode cost.
- * The platform selects by name (LbaConfig::codec, `lba_run --codec`).
+ * The encoder and decoder run identical predictor banks; a record
+ * whose fields all predict correctly costs only a few flag bits, which
+ * is how the paper reaches < 1 byte per instruction. The encoding is
+ * exactly invertible on capture-shaped records (compress/record_gen.h):
+ * tests assert decode(encode(trace)) == trace.
  *
- * Streaming contract. Encoders are push-record / pull-bytes:
+ * Stream grammar per record (bit-granular, LSB-first):
+ *   kind      : 1 bit   (0 = instruction event, 1 = annotation event)
+ *   tid       : 1 bit hit, or 0-bit + 16-bit literal
+ *  instruction events:
+ *   pc        : '0' sequential hit | '10' context hit
+ *               | '11' + varint(zigzag(pc - base))
+ *   static    : '1' hit | '0' + opcode(6) rd(5) rs1(5) rs2(5)
+ *   payload (derived from opcode class):
+ *     load/store   : '0' stride hit | '10' last hit
+ *                    | '11' + varint(zigzag(addr - base))
+ *     control      : taken(1); if taken:
+ *                    '1' target hit | '0' + varint(zigzag(target - pc))
+ *     other        : (nothing)
+ *  annotation events:
+ *   type      : 3 bits
+ *   addr, aux : varint(zigzag(delta vs per-type last value))
+ * The smallest record is 4 bits (kind, tid hit, sequential pc, static
+ * hit), so a payload of B bytes holds at most 2*B records.
+ *
+ * Streaming contract. The Encoder is push-record / pull-bytes:
  *
  *   encoder.append(record);                  // any number of times
  *   n = encoder.pull(buf, max);              // drain finalized bytes
@@ -22,10 +39,10 @@
  *
  * pull() may be called at any point, so a transport can ship
  * partially-encoded streams without waiting for the end of the run;
- * bytes become pullable as soon as they can no longer change (for
- * bit-packed codecs, everything but the trailing partial byte).
+ * every byte but the trailing partial one is final as soon as written.
  *
- * Decoders are push-bytes / pull-records, built for *untrusted* input:
+ * The Decoder is push-bytes / pull-records, built for *untrusted*
+ * input:
  *
  *   decoder.push(chunk, n);                  // any chunking, any time
  *   switch (decoder.next(&record)) { ... }   // kOk | kNeedMore | ...
@@ -36,17 +53,24 @@
  * buffered bytes rolls the stream position back and returns kNeedMore
  * (kError{kTruncated} once finishInput() was called), leaving the
  * decoder state exactly as before the attempt. Malformed input —
- * impossible flag sequences, out-of-range literals, overlong varints —
+ * impossible predictor hits, out-of-range literals, overlong varints —
  * yields a sticky kError with a typed DecodeError, not UB and not a
- * panic. fuzz/ drives every implementation through these paths.
+ * panic. fuzz/ drives both sides through these paths.
  */
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
+#include "compress/bitstream.h"
+#include "compress/predictors.h"
 #include "log/event.h"
 
 namespace lba::compress {
+
+/** The codec's name, as written in trace-file v2 headers. */
+inline constexpr const char* kCodecName = "predictor";
 
 /** Why a decode failed (the typed, recoverable error model). */
 enum class DecodeErrorKind : std::uint8_t
@@ -100,103 +124,145 @@ enum class DecodeStatus : std::uint8_t
     kError,
 };
 
-/** Capability flags describing a codec's profile (CodecInfo::caps). */
-enum CodecCaps : unsigned
+/** Predictor state shared (by construction) between the two ends. */
+struct PredictorBank
 {
-    /** Output is bit-granular (sub-byte records possible). */
-    kCapBitPacked = 1u << 0,
-    /** Output is byte-aligned (cheap encode/decode, larger). */
-    kCapByteAligned = 1u << 1,
-    /** Uses value predictors (history-dependent, best ratio). */
-    kCapPredictive = 1u << 2,
-    /** Uses a record dictionary (best on repeated-record streams). */
-    kCapDictionary = 1u << 3,
-    /**
-     * Round-trips only *capture-shaped* streams: records as the
-     * capture hardware emits them (derived fields canonical — see
-     * compress/record_gen.h). Codecs without this flag round-trip
-     * arbitrary EventRecords byte-exactly.
-     */
-    kCapCanonicalStreamsOnly = 1u << 4,
+    PcPredictor pc;
+    StaticPredictor stat;
+    StridePredictor mem_addr;
+    TargetPredictor ctrl_target;
+
+    /** Per-annotation-type last payload values. */
+    struct AnnotationLast
+    {
+        Addr addr = 0;
+        std::uint64_t aux = 0;
+    };
+    AnnotationLast annotation[8];
+
+    ThreadId last_tid = 0;
+    bool tid_seen = false;
+};
+
+/** Per-field bit accounting for the compression-breakdown benchmark. */
+struct FieldBits
+{
+    std::uint64_t kind = 0;
+    std::uint64_t tid = 0;
+    std::uint64_t pc = 0;
+    std::uint64_t stat = 0;
+    std::uint64_t addr = 0;
+    std::uint64_t ctrl = 0;
+    std::uint64_t annotation = 0;
 };
 
 /**
  * Streaming encoder: push records, pull finalized bytes.
  *
- * Implementations are deterministic — identical record streams yield
- * identical bytes — which is what lets transport accounting charge
- * exact per-record bit costs (core/pipeline_timer.h).
+ * Deterministic — identical record streams yield identical bytes —
+ * which is what lets transport accounting charge exact per-record bit
+ * costs (core/pipeline_timer.h).
  */
 class Encoder
 {
   public:
-    virtual ~Encoder();
-
-    /** Compress one record onto the stream. */
-    virtual void append(const log::EventRecord& record) = 0;
+    /**
+     * Compress one record onto the stream. Out of line, like
+     * BitWriter::writeBits, so GCC inlines every single-bit flag write
+     * into this one body (encode measured ~30% slower when it did not).
+     */
+    void append(const log::EventRecord& record);
 
     /**
-     * Seal the stream: flush any partial trailing byte so every encoded
-     * byte becomes pullable. No append() after this.
+     * Seal the stream: the partial trailing byte becomes pullable.
+     * No append() after this.
      */
-    virtual void finishStream() = 0;
+    void finishStream() { finished_ = true; }
 
     /** Records compressed so far. */
-    virtual std::uint64_t records() const = 0;
+    std::uint64_t records() const { return records_; }
 
     /** Total encoded size so far, in bits (bandwidth accounting). */
-    virtual std::uint64_t bitsWritten() const = 0;
+    std::uint64_t bitsWritten() const { return writer_.bitCount(); }
+
+    /** Average encoded size, in bytes per record. */
+    double
+    bytesPerRecord() const
+    {
+        return records_ ? static_cast<double>(bitsWritten()) / 8.0 /
+                              static_cast<double>(records_)
+                        : 0.0;
+    }
 
     /**
      * Copy up to @p max finalized encoded bytes into @p out and
      * advance the pull cursor past them.
      * @return Bytes copied (0 when nothing is finalized yet).
      */
-    virtual std::size_t pull(std::uint8_t* out, std::size_t max) = 0;
+    std::size_t pull(std::uint8_t* out, std::size_t max);
 
     /** Finalized bytes currently available to pull(). */
-    virtual std::size_t pullableBytes() const = 0;
+    std::size_t pullableBytes() const;
 
-    /** Average encoded size, in bytes per record. */
-    double
-    bytesPerRecord() const
-    {
-        std::uint64_t n = records();
-        return n ? static_cast<double>(bitsWritten()) / 8.0 /
-                       static_cast<double>(n)
-                 : 0.0;
-    }
+    /** Per-field bit breakdown. */
+    const FieldBits& fieldBits() const { return field_bits_; }
+
+  private:
+    PredictorBank bank_;
+    BitWriter writer_;
+    std::uint64_t records_ = 0;
+    FieldBits field_bits_;
+    /** Bytes already handed out through pull(). */
+    std::size_t pulled_ = 0;
+    bool finished_ = false;
 };
 
 /**
  * Streaming decoder over untrusted bytes: push chunks, pull records.
- * See the file comment for the full contract; in short, next() either
- * succeeds, asks for more input, reports a clean end, or returns a
- * typed error — it never aborts and never leaves a half-applied
- * record or predictor state.
+ * See the file comment for the contract. Neither copyable nor movable:
+ * its BitReader refers to the buffer it owns.
  */
 class Decoder
 {
   public:
-    virtual ~Decoder();
+    Decoder() : reader_(buffer_) {}
+    Decoder(const Decoder&) = delete;
+    Decoder& operator=(const Decoder&) = delete;
 
     /** Feed @p n more encoded bytes (any chunking, including n = 0). */
-    virtual void push(const std::uint8_t* data, std::size_t n) = 0;
+    void push(const std::uint8_t* data, std::size_t n);
 
     /**
      * Declare the input complete: a subsequent mid-record kNeedMore
      * becomes kError{kTruncated}; a record-boundary end becomes kEnd.
      */
-    virtual void finishInput() = 0;
+    void finishInput() { input_done_ = true; }
 
     /** Decode the next record. */
-    virtual DecodeStatus next(log::EventRecord* out) = 0;
+    DecodeStatus next(log::EventRecord* out);
 
     /** The sticky error after a kError result. */
-    virtual const DecodeError& error() const = 0;
+    const DecodeError& error() const { return error_; }
 
     /** Records decoded so far. */
-    virtual std::uint64_t records() const = 0;
+    std::uint64_t records() const { return records_; }
+
+  private:
+    /**
+     * Decode one record in two phases: read and validate every field
+     * against the current bank, then commit the bank updates. Any
+     * early exit — kNeedMore on underrun, kError (error_ set) on a
+     * malformed encoding — rewinds to the record boundary and leaves
+     * the bank untouched.
+     */
+    DecodeStatus decodeRecord(log::EventRecord* out);
+
+    std::vector<std::uint8_t> buffer_;
+    BitReader reader_;
+    PredictorBank bank_;
+    DecodeError error_;
+    std::uint64_t records_ = 0;
+    bool input_done_ = false;
 };
 
 } // namespace lba::compress

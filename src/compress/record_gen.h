@@ -6,12 +6,11 @@
  * that maps arbitrary records onto capture-shaped ones.
  *
  * "Canonical" means "could have come from the capture unit": the
- * predictor codec does not transmit fields it can rederive (aux for
- * memory/control events, pc and operand ids for annotations), so it
- * only round-trips records where those fields already hold the derived
- * values. canonicalize() enforces exactly the shape
- * LogDecompressor::tryNext() reconstructs. The byte-aligned codecs
- * (varint, dict) round-trip arbitrary records and don't need it.
+ * codec does not transmit fields it can rederive (aux for memory/
+ * control events, pc and operand ids for annotations), so it only
+ * round-trips records where those fields already hold the derived
+ * values. canonicalize() enforces exactly the shape the Decoder
+ * reconstructs.
  */
 
 #include <cstddef>
@@ -82,7 +81,7 @@ class RecordGen
 
     /**
      * Next workload-shaped record: a small hot pc set and strided
-     * addresses most of the time (so predictive codecs have something
+     * addresses most of the time (so the predictors have something
      * to predict), wild values on a minority of records (so they also
      * see misses), occasional annotations.
      */
@@ -123,8 +122,8 @@ class RecordGen
 
     /**
      * Next fully arbitrary record (any field pattern, including shapes
-     * the capture unit never emits). For the byte-aligned codecs and
-     * the encoder fuzz harness.
+     * the capture unit never emits). Canonicalized, it covers every
+     * record shape the codec accepts; raw, it seeds the fuzz corpus.
      */
     log::EventRecord
     nextArbitrary()

@@ -1,70 +1,54 @@
 #pragma once
 /**
  * @file
- * CodecRegistry: the name -> codec-factory table behind every codec
- * selection surface (LbaConfig::codec, `lba_run --codec`,
- * `lba_trace --codec`, the trace-file v2 header, the benches, the fuzz
- * harnesses).
- *
- * Built-in codecs ("predictor", "varint", "dict") are registered by
- * the magic-static instance() on first use; experiments can add() more
- * at startup. Factories return fresh streaming Encoder/Decoder
- * instances — codec state never outlives one stream.
+ * CodecRegistry: a name lookup for the one log codec. It exists only
+ * because perfbench/perfbench.cc compiles against
+ * `CodecRegistry::instance().find(kDefaultCodec)->makeEncoder()`;
+ * everything else constructs compress::Encoder directly. Delete it once
+ * perfbench does the same.
  */
 
-#include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "compress/codec.h"
 
 namespace lba::compress {
 
-/** One registered codec: identity, capabilities, and factories. */
+/** The codec name perfbench looks up. */
+inline constexpr const char* kDefaultCodec = kCodecName;
+
+/** The codec's registry entry: a fresh-encoder factory. */
 struct CodecInfo
 {
-    /** Registry key; also the on-disk name in trace-file v2 headers. */
-    std::string name;
-    /** One-line human description (shown by `lba_run --list-codecs`). */
-    std::string description;
-    /** Bitwise-or of CodecCaps flags. */
-    std::uint32_t caps = 0;
-    std::function<std::unique_ptr<Encoder>()> makeEncoder;
-    std::function<std::unique_ptr<Decoder>()> makeDecoder;
+    std::unique_ptr<Encoder> makeEncoder() const
+    {
+        return std::make_unique<Encoder>();
+    }
 };
 
-/** Process-wide codec table. */
+/** Finds kDefaultCodec; any other name is unknown. */
 class CodecRegistry
 {
   public:
-    /** The singleton, with the built-in codecs pre-registered. */
-    static CodecRegistry& instance();
+    static const CodecRegistry&
+    instance()
+    {
+        static const CodecRegistry registry;
+        return registry;
+    }
 
-    /**
-     * Register a codec. Names must be unique, non-empty, and at most
-     * kMaxCodecNameBytes long (the trace-file header stores them with
-     * a one-byte length). Duplicate registration is a caller bug.
-     */
-    void add(CodecInfo info);
-
-    /** Look up by name; nullptr when unknown. */
-    const CodecInfo* find(const std::string& name) const;
-
-    /** All registered names, in registration order. */
-    std::vector<std::string> names() const;
+    /** The codec's entry, or nullptr for any other name. */
+    const CodecInfo*
+    find(const std::string& name) const
+    {
+        return name == kDefaultCodec ? &codec_ : nullptr;
+    }
 
   private:
     CodecRegistry() = default;
 
-    std::vector<CodecInfo> codecs_;
+    CodecInfo codec_;
 };
-
-/** The codec used when none is requested (the paper's compressor). */
-inline constexpr const char* kDefaultCodec = "predictor";
-
-/** Longest codec name storable in a trace-file v2 header. */
-inline constexpr std::size_t kMaxCodecNameBytes = 64;
 
 } // namespace lba::compress

@@ -17,16 +17,19 @@
  *   bytes 12..19  record count
  *   bytes 20..27  payload byte count
  *   byte  28      codec name length L (1..kMaxCodecNameBytes)
- *   bytes 29..    codec name (L bytes, printable ASCII, no NUL)
+ *   bytes 29..    codec name (L bytes, printable ASCII, no NUL);
+ *                 writers always store "predictor" (compress/codec.h)
  *   then          encoder output (payload byte count bytes, exactly)
  * Version-1 files (no codec field, payload at byte 28) still read;
- * they are always "predictor" streams.
+ * they are always "predictor" streams. A v2 file naming any other
+ * codec has a valid header but its payload is kUnsupported.
  *
  * Trace files are *untrusted input*: every length is validated against
- * the actual file size before any allocation, the record count is
- * sanity-checked against the payload size, and the payload is decoded
- * through the hardened streaming Decoder — a malformed or adversarial
- * file yields a typed DecodeError, never UB or an abort.
+ * the actual file size before any allocation, the record count must fit
+ * the payload at the codec's smallest record (4 bits, so at most two
+ * records per byte), records are stored only as they decode, and the
+ * payload goes through the hardened streaming Decoder — a malformed or
+ * adversarial file yields a typed DecodeError, never UB or an abort.
  */
 
 #include <optional>
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "compress/codec.h"
-#include "compress/registry.h"
 #include "log/event.h"
 
 namespace lba::compress {
@@ -46,7 +48,7 @@ struct TraceInfo
     std::uint64_t payload_bytes = 0;
     /** Format version the file was written with (1 or 2). */
     std::uint32_t version = 0;
-    /** Codec that encoded the payload ("predictor" for v1 files). */
+    /** Codec named in the header ("predictor" for v1 files). */
     std::string codec;
 
     /** Average compressed record size. */
@@ -59,14 +61,15 @@ struct TraceInfo
     }
 };
 
+/** Longest codec name storable in a trace-file v2 header. */
+inline constexpr std::size_t kMaxCodecNameBytes = 64;
+
 /**
- * Write @p records to @p path, encoded with the registered codec
- * @p codec.
- * @return False on I/O failure or unknown codec (@p error says which).
+ * Write @p records to @p path, encoded by the codec.
+ * @return False on I/O failure (typed in @p error).
  */
 bool writeTrace(const std::string& path,
                 const std::vector<log::EventRecord>& records,
-                const std::string& codec = kDefaultCodec,
                 DecodeError* error = nullptr);
 
 /**

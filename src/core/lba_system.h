@@ -81,7 +81,7 @@ class LbaSystem : public sim::RetireObserver
         return timer_.dispatchStats(0);
     }
 
-    /** The run's log-stream encoder (LbaConfig::codec instance). */
+    /** The run's log-stream encoder. */
     const compress::Encoder& encoder() const
     {
         return timer_.encoder();

@@ -81,7 +81,6 @@ PipelineTimer::buildLanes(
 
     Producer primary;
     primary.app_core = config_.app_core;
-    primary.encoder = makeEncoder();
     producers_.push_back(std::move(primary));
 
     if (config_.execution == ExecutionMode::kThreaded) {
@@ -114,19 +113,8 @@ PipelineTimer::addProducer(unsigned app_core)
                "producer and lifeguard must use different cores");
     Producer producer;
     producer.app_core = app_core;
-    producer.encoder = makeEncoder();
     producers_.push_back(std::move(producer));
     return static_cast<unsigned>(producers_.size() - 1);
-}
-
-std::unique_ptr<compress::Encoder>
-PipelineTimer::makeEncoder() const
-{
-    const compress::CodecInfo* info =
-        compress::CodecRegistry::instance().find(config_.codec);
-    LBA_ASSERT(info != nullptr,
-               "LbaConfig::codec names no registered codec");
-    return info->makeEncoder();
 }
 
 bool
@@ -149,9 +137,9 @@ PipelineTimer::transportCost(Producer& producer, const EventRecord& record)
     // producer is its own log stream, so its encoder sees only its
     // own record sequence.
     if (!config_.compress) return config_.raw_record_bytes;
-    std::uint64_t before = producer.encoder->bitsWritten();
-    producer.encoder->append(record);
-    return static_cast<double>(producer.encoder->bitsWritten() - before) /
+    std::uint64_t before = producer.encoder.bitsWritten();
+    producer.encoder.append(record);
+    return static_cast<double>(producer.encoder.bitsWritten() - before) /
            8.0;
 }
 
@@ -611,14 +599,13 @@ PipelineTimer::seal()
         producer.stats.total_cycles =
             std::max(producer.app_time, producer.drain_clock);
         end = std::max(end, producer.stats.total_cycles);
-        producer.encoder->finishStream();
+        producer.encoder.finishStream();
         producer.stats.bytes_per_record =
-            producer.encoder->bytesPerRecord();
-        producer.stats.codec = config_.codec;
+            producer.encoder.bytesPerRecord();
         producer.stats.mean_consume_lag = producer.consume_lag.mean();
-        compressed_records += producer.encoder->records();
+        compressed_records += producer.encoder.records();
         compressed_bytes +=
-            static_cast<double>(producer.encoder->bitsWritten()) / 8.0;
+            static_cast<double>(producer.encoder.bitsWritten()) / 8.0;
     }
     stats_.lifeguard_busy_cycles = 0;
     for (Lane& lane : lanes_) {
@@ -626,7 +613,6 @@ PipelineTimer::seal()
         stats_.lifeguard_busy_cycles += lane.busy_cycles;
     }
     stats_.total_cycles = end;
-    stats_.codec = config_.codec;
     stats_.bytes_per_record =
         compressed_records
             ? compressed_bytes / static_cast<double>(compressed_records)

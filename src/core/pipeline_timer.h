@@ -94,12 +94,11 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/assert.h"
-#include "compress/registry.h"
+#include "compress/codec.h"
 #include "core/threaded_executor.h"
 #include "lifeguard/dispatch.h"
 #include "mem/hierarchy.h"
@@ -162,14 +161,6 @@ struct LbaConfig
     bool syscall_stall = true;
     /** Run the compressor for bandwidth accounting. */
     bool compress = true;
-    /**
-     * Registered codec encoding each producer's log stream for the
-     * bandwidth accounting (compress::CodecRegistry). The default,
-     * "predictor", is the paper's value-prediction compressor;
-     * alternatives trade ratio for host encode cost. Must name a
-     * registered codec.
-     */
-    std::string codec = compress::kDefaultCodec;
     /** Address-range record filter (paper Section 3 future work). */
     bool filter_enabled = false;
     Addr filter_base = 0;
@@ -238,9 +229,6 @@ struct LbaRunStats
     Cycles lifeguard_busy_cycles = 0;
     /** Compressed log size, bytes per logged record. */
     double bytes_per_record = 0.0;
-    /** Codec that produced bytes_per_record/transport_bytes (the
-     *  LbaConfig::codec of the run; set by seal()). */
-    std::string codec;
     /** Mean cycles between record production and consumption start. */
     double mean_consume_lag = 0.0;
     /** Number of syscalls that triggered a containment drain. */
@@ -479,7 +467,7 @@ class PipelineTimer
     /** Producer 0's log-stream encoder (single-app runs). */
     const compress::Encoder& encoder() const
     {
-        return *producers_.front().encoder;
+        return producers_.front().encoder;
     }
 
   private:
@@ -561,9 +549,8 @@ class PipelineTimer
         bool pending_drain = false;
         /** Latest finish time over this producer's consumed records. */
         Cycles drain_clock = 0;
-        /** This producer's log stream (per-tenant codec state, built
-         *  from LbaConfig::codec by the registry). */
-        std::unique_ptr<compress::Encoder> encoder;
+        /** This producer's log stream (per-tenant codec state). */
+        compress::Encoder encoder;
         stats::Summary consume_lag;
         LbaRunStats stats;
     };
@@ -575,9 +562,6 @@ class PipelineTimer
                     const std::vector<lifeguard::Lifeguard*>& lifeguards,
                     const std::vector<LaneLimits>& lane_limits)
         LBA_COORDINATOR_ONLY;
-
-    /** Build a fresh per-producer encoder from LbaConfig::codec. */
-    std::unique_ptr<compress::Encoder> makeEncoder() const;
 
     /** True when the filter drops this record. */
     bool filtered(const log::EventRecord& record) const;

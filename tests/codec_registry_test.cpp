@@ -1,12 +1,10 @@
 /**
  * @file
- * Codec registry and streaming-codec contract tests: registry
- * contents and lookup, plus the roundtrip property every registered
- * codec owes the transport — byte-exact decode of whatever it
- * encoded, under adversarial chunking, on empty / single-record /
- * randomized / dictionary-wrapping streams — and typed (never
- * crashing) failure on truncated or garbage input. Codecs registered
- * in the future inherit every property test here automatically.
+ * Streaming-codec contract tests: the roundtrip property the codec
+ * owes the transport — byte-exact decode of whatever it encoded, under
+ * adversarial chunking, on empty / single-record / randomized /
+ * long streams — and typed (never crashing) failure on truncated or
+ * garbage input. Plus the registry lookup perfbench compiles against.
  */
 
 #include <gtest/gtest.h>
@@ -15,85 +13,67 @@
 #include <cstdint>
 #include <vector>
 
+#include "compress/codec.h"
 #include "compress/record_gen.h"
 #include "compress/registry.h"
 
 namespace lba::compress {
 namespace {
 
-std::vector<const CodecInfo*>
-allCodecs()
-{
-    std::vector<const CodecInfo*> infos;
-    auto& registry = CodecRegistry::instance();
-    for (const auto& name : registry.names())
-        infos.push_back(registry.find(name));
-    return infos;
-}
-
-/** Records shaped for @p info (canonical when the codec demands it). */
+/**
+ * @p count records: capture-shaped workload records, or canonicalized
+ * arbitrary ones (every field pattern the capture unit can emit).
+ */
 std::vector<log::EventRecord>
-recordsFor(const CodecInfo* info, std::size_t count,
-           std::uint64_t seed, bool arbitrary = true)
+makeRecords(std::size_t count, std::uint64_t seed, bool arbitrary = true)
 {
     RecordGen gen(seed);
-    const bool canonical_only =
-        (info->caps & kCapCanonicalStreamsOnly) != 0;
-    std::vector<log::EventRecord> records;
-    records.reserve(count);
+    std::vector<log::EventRecord> out;
+    out.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-        if (!arbitrary || canonical_only) {
-            records.push_back(canonical_only && arbitrary
-                                  ? canonicalize(gen.nextArbitrary())
-                                  : gen.next());
-        } else {
-            records.push_back(gen.nextArbitrary());
-        }
+        out.push_back(arbitrary ? canonicalize(gen.nextArbitrary())
+                                : gen.next());
     }
-    return records;
+    return out;
 }
 
 /** Encode with interleaved small pulls; return the full payload. */
 std::vector<std::uint8_t>
-encodeChunked(const CodecInfo* info,
-              const std::vector<log::EventRecord>& records,
+encodeChunked(const std::vector<log::EventRecord>& records,
               std::size_t pull_bytes)
 {
-    auto encoder = info->makeEncoder();
+    Encoder encoder;
     std::vector<std::uint8_t> payload;
     std::uint8_t sink[256];
     std::uint64_t bits_before = 0;
     for (const auto& record : records) {
-        encoder->append(record);
-        EXPECT_GT(encoder->bitsWritten(), bits_before) << info->name;
-        bits_before = encoder->bitsWritten();
-        while (std::size_t n = encoder->pull(
+        encoder.append(record);
+        EXPECT_GT(encoder.bitsWritten(), bits_before);
+        bits_before = encoder.bitsWritten();
+        while (std::size_t n = encoder.pull(
                    sink, std::min(pull_bytes, sizeof sink)))
             payload.insert(payload.end(), sink, sink + n);
     }
-    encoder->finishStream();
+    encoder.finishStream();
     while (std::size_t n =
-               encoder->pull(sink, std::min(pull_bytes, sizeof sink)))
+               encoder.pull(sink, std::min(pull_bytes, sizeof sink)))
         payload.insert(payload.end(), sink, sink + n);
-    EXPECT_EQ(encoder->records(), records.size()) << info->name;
-    EXPECT_EQ(encoder->pullableBytes(), 0u) << info->name;
-    EXPECT_EQ(payload.size(), (encoder->bitsWritten() + 7) / 8)
-        << info->name;
+    EXPECT_EQ(encoder.records(), records.size());
+    EXPECT_EQ(encoder.pullableBytes(), 0u);
+    EXPECT_EQ(payload.size(), (encoder.bitsWritten() + 7) / 8);
     return payload;
 }
 
 /** Decode with @p chunk-byte pushes; expects a clean kEnd. */
 std::vector<log::EventRecord>
-decodeChunked(const CodecInfo* info,
-              const std::vector<std::uint8_t>& payload,
-              std::size_t chunk)
+decodeChunked(const std::vector<std::uint8_t>& payload, std::size_t chunk)
 {
-    auto decoder = info->makeDecoder();
+    Decoder decoder;
     std::vector<log::EventRecord> records;
     log::EventRecord record;
     std::size_t pos = 0;
     while (true) {
-        DecodeStatus status = decoder->next(&record);
+        DecodeStatus status = decoder.next(&record);
         if (status == DecodeStatus::kOk) {
             records.push_back(record);
             continue;
@@ -101,203 +81,130 @@ decodeChunked(const CodecInfo* info,
         if (status == DecodeStatus::kNeedMore) {
             if (pos < payload.size()) {
                 std::size_t n = std::min(chunk, payload.size() - pos);
-                decoder->push(payload.data() + pos, n);
+                decoder.push(payload.data() + pos, n);
                 pos += n;
             } else {
-                decoder->finishInput();
+                decoder.finishInput();
             }
             continue;
         }
         EXPECT_EQ(status, DecodeStatus::kEnd)
-            << info->name << ": " << decoder->error().toString();
+            << decoder.error().toString();
         break;
     }
-    EXPECT_EQ(decoder->records(), records.size()) << info->name;
+    EXPECT_EQ(decoder.records(), records.size());
     return records;
 }
 
-TEST(CodecRegistry, RegistersTheExpectedCodecs)
-{
-    auto& registry = CodecRegistry::instance();
-    auto names = registry.names();
-    ASSERT_GE(names.size(), 3u);
-    EXPECT_NE(std::find(names.begin(), names.end(), "predictor"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "varint"),
-              names.end());
-    EXPECT_NE(std::find(names.begin(), names.end(), "dict"),
-              names.end());
-}
-
-TEST(CodecRegistry, DefaultCodecIsRegisteredAndPredictive)
+TEST(CodecRegistry, FindsOnlyThePredictorCodec)
 {
     const CodecInfo* info =
         CodecRegistry::instance().find(kDefaultCodec);
     ASSERT_NE(info, nullptr);
-    EXPECT_EQ(info->name, "predictor");
-    EXPECT_TRUE(info->caps & kCapPredictive);
-    EXPECT_TRUE(info->caps & kCapBitPacked);
-    EXPECT_TRUE(info->caps & kCapCanonicalStreamsOnly);
-}
-
-TEST(CodecRegistry, CapabilityFlagsMatchCodecShape)
-{
-    auto& registry = CodecRegistry::instance();
-    EXPECT_TRUE(registry.find("varint")->caps & kCapByteAligned);
-    EXPECT_TRUE(registry.find("dict")->caps & kCapByteAligned);
-    EXPECT_TRUE(registry.find("dict")->caps & kCapDictionary);
-    for (const CodecInfo* info : allCodecs()) {
-        EXPECT_FALSE(info->description.empty()) << info->name;
-        EXPECT_LE(info->name.size(), kMaxCodecNameBytes);
-    }
-}
-
-TEST(CodecRegistry, UnknownCodecLookupReturnsNull)
-{
-    EXPECT_EQ(CodecRegistry::instance().find("zstd"), nullptr);
+    EXPECT_STREQ(kDefaultCodec, "predictor");
+    EXPECT_EQ(CodecRegistry::instance().find("varint"), nullptr);
+    EXPECT_EQ(CodecRegistry::instance().find("dict"), nullptr);
     EXPECT_EQ(CodecRegistry::instance().find(""), nullptr);
-}
 
-TEST(CodecRegistry, FactoriesProduceFreshInstances)
-{
-    for (const CodecInfo* info : allCodecs()) {
-        auto a = info->makeEncoder();
-        auto b = info->makeEncoder();
-        RecordGen gen(1);
-        a->append(canonicalize(gen.next()));
-        EXPECT_EQ(b->records(), 0u) << info->name;
-        EXPECT_EQ(b->bitsWritten(), 0u) << info->name;
-    }
+    // Fresh, independent encoders.
+    auto a = info->makeEncoder();
+    auto b = info->makeEncoder();
+    RecordGen gen(1);
+    a->append(gen.next());
+    EXPECT_EQ(a->records(), 1u);
+    EXPECT_EQ(b->records(), 0u);
+    EXPECT_EQ(b->bitsWritten(), 0u);
 }
 
 TEST(CodecProperty, EmptyStreamRoundTrips)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        auto payload = encodeChunked(info, {}, 256);
-        EXPECT_TRUE(decodeChunked(info, payload, 1).empty())
-            << info->name;
-    }
+    auto payload = encodeChunked({}, 256);
+    EXPECT_TRUE(payload.empty());
+    EXPECT_TRUE(decodeChunked(payload, 1).empty());
 }
 
 TEST(CodecProperty, SingleRecordRoundTrips)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        auto records = recordsFor(info, 1, 0x5eed);
-        auto payload = encodeChunked(info, records, 256);
-        EXPECT_EQ(decodeChunked(info, payload, 1), records)
-            << info->name;
-    }
+    auto input = makeRecords(1, 0x5eed);
+    EXPECT_EQ(decodeChunked(encodeChunked(input, 256), 1), input);
 }
 
 TEST(CodecProperty, RandomizedStreamsRoundTripByteExact)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-            auto records = recordsFor(info, 500, seed);
-            auto payload = encodeChunked(info, records, 7);
-            EXPECT_EQ(decodeChunked(info, payload, 3), records)
-                << info->name << " seed " << seed;
-        }
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        auto input = makeRecords(500, seed);
+        EXPECT_EQ(decodeChunked(encodeChunked(input, 7), 3), input)
+            << "seed " << seed;
     }
 }
 
 TEST(CodecProperty, WorkloadShapedStreamsRoundTrip)
 {
-    // Capture-shaped records (what the pipeline actually produces) —
-    // valid input for every codec including the predictor.
-    for (const CodecInfo* info : allCodecs()) {
-        auto records =
-            recordsFor(info, 2000, 0xcafe, /*arbitrary=*/false);
-        auto payload = encodeChunked(info, records, 64);
-        EXPECT_EQ(decodeChunked(info, payload, 16), records)
-            << info->name;
-    }
+    // Hot loops and strided addresses, what the pipeline produces.
+    auto input = makeRecords(2000, 0xcafe, /*arbitrary=*/false);
+    EXPECT_EQ(decodeChunked(encodeChunked(input, 64), 16), input);
 }
 
-TEST(CodecProperty, DictionaryWrapLengthStreamsRoundTrip)
+TEST(CodecProperty, LongArbitraryStreamsRoundTrip)
 {
-    // More distinct keys than the dict codec has slots (4096), so its
-    // FIFO wraps and evicts mid-stream; harmless extra coverage for
-    // the others. Random 64-bit pcs make keys distinct with
-    // overwhelming probability.
-    for (const CodecInfo* info : allCodecs()) {
-        auto records = recordsFor(info, 6000, 0xd1c7);
-        auto payload = encodeChunked(info, records, 512);
-        EXPECT_EQ(decodeChunked(info, payload, 64), records)
-            << info->name;
-    }
+    // Thousands of distinct random pcs: every predictor bank grows
+    // well past its initial capacity mid-stream.
+    auto input = makeRecords(6000, 0xd1c7);
+    EXPECT_EQ(decodeChunked(encodeChunked(input, 512), 64), input);
 }
 
 TEST(CodecProperty, OneBytePushesMatchBulkPush)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        auto records = recordsFor(info, 64, 0xab);
-        auto payload = encodeChunked(info, records, 1);
-        EXPECT_EQ(decodeChunked(info, payload, 1), records)
-            << info->name;
-        EXPECT_EQ(decodeChunked(info, payload, payload.size() + 1),
-                  records)
-            << info->name;
-    }
+    auto input = makeRecords(64, 0xab);
+    auto payload = encodeChunked(input, 1);
+    EXPECT_EQ(decodeChunked(payload, 1), input);
+    EXPECT_EQ(decodeChunked(payload, payload.size() + 1), input);
 }
 
 TEST(CodecProperty, TruncatedStreamsFailTyped)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        auto records = recordsFor(info, 100, 0x720);
-        auto payload = encodeChunked(info, records, 256);
-        // Cut at several depths; every cut must end in a typed error
-        // or a clean early end — never a crash or a hang.
-        for (std::size_t cut :
-             {payload.size() / 4, payload.size() / 2,
-              payload.size() - 1}) {
-            auto decoder = info->makeDecoder();
-            decoder->push(payload.data(), cut);
-            decoder->finishInput();
-            log::EventRecord record;
-            std::size_t decoded = 0;
-            DecodeStatus status;
-            while ((status = decoder->next(&record)) ==
-                   DecodeStatus::kOk)
-                ++decoded;
-            EXPECT_NE(status, DecodeStatus::kNeedMore) << info->name;
-            EXPECT_LE(decoded, records.size()) << info->name;
-            if (status == DecodeStatus::kError) {
-                EXPECT_NE(decoder->error().kind,
-                          DecodeErrorKind::kNone)
-                    << info->name;
-                // And the error sticks.
-                EXPECT_EQ(decoder->next(&record),
-                          DecodeStatus::kError)
-                    << info->name;
-            }
+    auto input = makeRecords(100, 0x720);
+    auto payload = encodeChunked(input, 256);
+    // Cut at several depths; every cut must end in a typed error or a
+    // clean early end — never a crash or a hang.
+    for (std::size_t cut :
+         {payload.size() / 4, payload.size() / 2, payload.size() - 1}) {
+        Decoder decoder;
+        decoder.push(payload.data(), cut);
+        decoder.finishInput();
+        log::EventRecord record;
+        std::size_t decoded = 0;
+        DecodeStatus status;
+        while ((status = decoder.next(&record)) == DecodeStatus::kOk)
+            ++decoded;
+        EXPECT_NE(status, DecodeStatus::kNeedMore);
+        EXPECT_LT(decoded, input.size()) << "cut " << cut;
+        if (status == DecodeStatus::kError) {
+            EXPECT_NE(decoder.error().kind, DecodeErrorKind::kNone);
+            // And the error sticks.
+            EXPECT_EQ(decoder.next(&record), DecodeStatus::kError);
         }
     }
 }
 
 TEST(CodecProperty, GarbageInputFailsTypedNotFatally)
 {
-    for (const CodecInfo* info : allCodecs()) {
-        RecordGen noise(0xbad);
-        for (int trial = 0; trial < 16; ++trial) {
-            std::vector<std::uint8_t> garbage(
-                64 + (noise.nextU64() % 256));
-            for (auto& b : garbage)
-                b = static_cast<std::uint8_t>(noise.nextU64());
-            auto decoder = info->makeDecoder();
-            decoder->push(garbage.data(), garbage.size());
-            decoder->finishInput();
-            log::EventRecord record;
-            DecodeStatus status;
-            std::size_t guard = 0;
-            while ((status = decoder->next(&record)) ==
-                       DecodeStatus::kOk &&
-                   ++guard < garbage.size() * 8) {
-            }
-            EXPECT_TRUE(status == DecodeStatus::kEnd ||
-                        status == DecodeStatus::kError)
-                << info->name;
+    RecordGen noise(0xbad);
+    for (int trial = 0; trial < 16; ++trial) {
+        std::vector<std::uint8_t> garbage(64 + (noise.nextU64() % 256));
+        for (auto& b : garbage)
+            b = static_cast<std::uint8_t>(noise.nextU64());
+        Decoder decoder;
+        decoder.push(garbage.data(), garbage.size());
+        decoder.finishInput();
+        log::EventRecord record;
+        DecodeStatus status;
+        std::size_t guard = 0;
+        while ((status = decoder.next(&record)) == DecodeStatus::kOk &&
+               ++guard < garbage.size() * 8) {
         }
+        EXPECT_TRUE(status == DecodeStatus::kEnd ||
+                    status == DecodeStatus::kError);
     }
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the value-prediction log compressor: bitstream primitives,
+ * Tests for the value-prediction log codec: bitstream primitives,
  * predictor behaviour, exact round-trips on synthetic and benchmark
- * traces, and the paper's < 1 byte/instruction target.
+ * traces, the paper's < 1 byte/instruction target, and a pin on the
+ * wire format itself.
  */
 
 #include <gtest/gtest.h>
 
 #include "compress/bitstream.h"
-#include "compress/compressor.h"
+#include "compress/codec.h"
+#include "compress/record_gen.h"
 #include "log/capture.h"
 #include "sim/process.h"
 #include "workload/generator.h"
@@ -20,6 +22,23 @@ namespace {
 using log::EventRecord;
 using log::EventType;
 
+/** Checked reads that must succeed (the stream was just written). */
+std::uint64_t
+readBits(BitReader& r, unsigned count)
+{
+    std::uint64_t value = 0;
+    EXPECT_EQ(r.tryReadBits(count, &value), BitsResult::kOk);
+    return value;
+}
+
+std::uint64_t
+readVarint(BitReader& r)
+{
+    std::uint64_t value = 0;
+    EXPECT_EQ(r.tryReadVarint(&value), BitsResult::kOk);
+    return value;
+}
+
 TEST(BitStream, SingleBitsRoundTrip)
 {
     BitWriter w;
@@ -27,9 +46,9 @@ TEST(BitStream, SingleBitsRoundTrip)
     w.writeBit(false);
     w.writeBit(true);
     BitReader r(w.bytes());
-    EXPECT_TRUE(r.readBit());
-    EXPECT_FALSE(r.readBit());
-    EXPECT_TRUE(r.readBit());
+    EXPECT_EQ(readBits(r, 1), 1u);
+    EXPECT_EQ(readBits(r, 1), 0u);
+    EXPECT_EQ(readBits(r, 1), 1u);
 }
 
 TEST(BitStream, MultiBitFieldsRoundTrip)
@@ -39,9 +58,11 @@ TEST(BitStream, MultiBitFieldsRoundTrip)
     w.writeBits(0x12345, 20);
     w.writeBits(~0ull, 64);
     BitReader r(w.bytes());
-    EXPECT_EQ(r.readBits(6), 0x2bu);
-    EXPECT_EQ(r.readBits(20), 0x12345u);
-    EXPECT_EQ(r.readBits(64), ~0ull);
+    EXPECT_EQ(readBits(r, 6), 0x2bu);
+    EXPECT_EQ(readBits(r, 20), 0x12345u);
+    EXPECT_EQ(readBits(r, 64), ~0ull);
+    std::uint64_t past_end = 0;
+    EXPECT_EQ(r.tryReadBits(8, &past_end), BitsResult::kUnderrun);
 }
 
 TEST(BitStream, VarintRoundTrip)
@@ -51,7 +72,7 @@ TEST(BitStream, VarintRoundTrip)
                                          ~0ull, 0x123456789abcdefull};
     for (auto v : values) w.writeVarint(v);
     BitReader r(w.bytes());
-    for (auto v : values) EXPECT_EQ(r.readVarint(), v);
+    for (auto v : values) EXPECT_EQ(readVarint(r), v);
 }
 
 TEST(BitStream, BitCountIsExact)
@@ -159,6 +180,34 @@ TEST(StaticPredictor, HitsAfterFirstVisit)
     EXPECT_EQ(info->opcode, 5u);
 }
 
+/** Encode @p trace into @p encoder; return the sealed stream's bytes. */
+std::vector<std::uint8_t>
+encodeAll(const std::vector<EventRecord>& trace, Encoder& encoder)
+{
+    for (const auto& r : trace) encoder.append(r);
+    encoder.finishStream();
+    std::vector<std::uint8_t> bytes(encoder.pullableBytes());
+    encoder.pull(bytes.data(), bytes.size());
+    return bytes;
+}
+
+/** Decode @p bytes, expecting exactly @p trace and then a clean end. */
+void
+expectDecodesTo(const std::vector<std::uint8_t>& bytes,
+                const std::vector<EventRecord>& trace)
+{
+    Decoder d;
+    d.push(bytes.data(), bytes.size());
+    d.finishInput();
+    EventRecord record;
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+        ASSERT_EQ(d.next(&record), DecodeStatus::kOk)
+            << "record " << i << ": " << d.error().toString();
+        ASSERT_EQ(record, trace[i]) << "record " << i;
+    }
+    EXPECT_EQ(d.next(&record), DecodeStatus::kEnd);
+}
+
 /** Build a record for a load instruction. */
 EventRecord
 loadRecord(Addr pc, Addr addr, ThreadId tid = 0)
@@ -188,19 +237,15 @@ TEST(Compressor, RoundTripHandMadeTrace)
     alloc.aux = 64;
     trace.push_back(alloc);
 
-    LogCompressor c;
-    for (const auto& r : trace) c.append(r);
-    LogDecompressor d(c.bytes());
-    for (const auto& r : trace) {
-        EXPECT_EQ(d.next(), r);
-    }
+    Encoder c;
+    expectDecodesTo(encodeAll(trace, c), trace);
 }
 
 TEST(Compressor, SteadyStateLoopIsSubByte)
 {
     // A tight loop with strided accesses: the ideal case. After warmup,
     // records should cost only a few bits each.
-    LogCompressor c;
+    Encoder c;
     for (int iter = 0; iter < 1000; ++iter) {
         for (int k = 0; k < 4; ++k) {
             c.append(loadRecord(0x1000 + k * 8,
@@ -240,12 +285,8 @@ TEST(Compressor, RandomRecordsStillRoundTrip)
         }
         trace.push_back(r);
     }
-    LogCompressor c;
-    for (const auto& r : trace) c.append(r);
-    LogDecompressor d(c.bytes());
-    for (const auto& r : trace) {
-        EXPECT_EQ(d.next(), r);
-    }
+    Encoder c;
+    expectDecodesTo(encodeAll(trace, c), trace);
 }
 
 TEST(Compressor, ControlTransferRecordsRoundTrip)
@@ -271,12 +312,8 @@ TEST(Compressor, ControlTransferRecordsRoundTrip)
         ret.aux = 1;
         trace.push_back(ret);
     }
-    LogCompressor c;
-    for (const auto& r : trace) c.append(r);
-    LogDecompressor d(c.bytes());
-    for (const auto& r : trace) {
-        EXPECT_EQ(d.next(), r);
-    }
+    Encoder c;
+    expectDecodesTo(encodeAll(trace, c), trace);
 }
 
 /**
@@ -306,15 +343,11 @@ TEST_P(BenchmarkCompression, UnderOneBytePerRecordAndExact)
     p.run(&capture);
     ASSERT_GT(trace.size(), 100000u);
 
-    LogCompressor c;
-    for (const auto& r : trace) c.append(r);
+    Encoder c;
+    std::vector<std::uint8_t> bytes = encodeAll(trace, c);
     EXPECT_LT(c.bytesPerRecord(), 1.0)
         << GetParam() << ": " << c.bytesPerRecord() << " B/record";
-
-    LogDecompressor d(c.bytes());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(d.next(), trace[i]) << "record " << i;
-    }
+    expectDecodesTo(bytes, trace);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -324,14 +357,59 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Compressor, FieldBitsSumToTotal)
 {
-    LogCompressor c;
+    Encoder c;
     for (int i = 0; i < 200; ++i) {
         c.append(loadRecord(0x1000 + (i % 7) * 8, 0x40000 + i * 8));
     }
     const FieldBits& f = c.fieldBits();
     EXPECT_EQ(f.kind + f.tid + f.pc + f.stat + f.addr + f.ctrl +
                   f.annotation,
-              c.bits());
+              c.bitsWritten());
+}
+
+/** 64-bit FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t>& bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (std::uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * The wire format is a contract with every .lbat file on disk and with
+ * the transport accounting (every simulated cycle under finite
+ * bandwidth): pin the exact encoded bits and bytes of two fixed
+ * streams. A change here is a format change, not a refactor.
+ */
+TEST(Compressor, WireFormatIsPinned)
+{
+    std::vector<EventRecord> synthetic;
+    RecordGen gen(0x5eed);
+    for (int i = 0; i < 5000; ++i) synthetic.push_back(gen.next());
+    Encoder a;
+    std::vector<std::uint8_t> a_bytes = encodeAll(synthetic, a);
+    EXPECT_EQ(a.bitsWritten(), 412403u);
+    EXPECT_EQ(a_bytes.size(), 51551u);
+    EXPECT_EQ(fnv1a(a_bytes), 0xa3a0a074f63d8a67ull);
+
+    auto generated =
+        workload::generate(*workload::findProfile("gzip"), {}, 20000);
+    std::vector<EventRecord> captured;
+    log::CaptureUnit capture(
+        [&](const EventRecord& r) { captured.push_back(r); });
+    sim::Process p;
+    p.load(generated.program);
+    p.run(&capture);
+    ASSERT_EQ(captured.size(), 19583u);
+    Encoder b;
+    std::vector<std::uint8_t> b_bytes = encodeAll(captured, b);
+    EXPECT_EQ(b.bitsWritten(), 106772u);
+    EXPECT_EQ(b_bytes.size(), 13347u);
+    EXPECT_EQ(fnv1a(b_bytes), 0x13d13badb5e20b65ull);
 }
 
 } // namespace

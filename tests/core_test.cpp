@@ -13,6 +13,7 @@
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/lockset.h"
 #include "lifeguards/taintcheck.h"
+#include "log/capture.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
@@ -392,14 +393,30 @@ TEST(LbaSystem, FractionalBandwidthUsesCeilingDelivery)
 
 TEST(LbaSystem, TransportBytesMatchCompressorOutput)
 {
+    // The platform's encoder must see exactly the capture stream, so
+    // its bits equal a standalone encoder's over the same records, and
+    // the transport carries every one of those bits.
     auto generated =
         workload::generate(*workload::findProfile("bc"), {}, 30000);
-    Experiment exp(generated.program);
-    auto result = exp.runLba(addrcheck());
-    double expected = result.lba.bytes_per_record *
-                      static_cast<double>(result.lba.records_logged);
-    EXPECT_NEAR(result.lba.transport_bytes, expected,
-                expected * 0.01 + 1.0);
+    log::RecordingObserver recorder;
+    sim::Process captured;
+    captured.load(generated.program);
+    captured.run(&recorder);
+    compress::Encoder standalone;
+    for (const auto& record : recorder.stream) standalone.append(record);
+
+    mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
+    lifeguards::AddrCheck guard;
+    LbaSystem system(guard, hierarchy);
+    sim::Process process;
+    process.load(generated.program);
+    process.run(&system);
+    system.finish();
+
+    EXPECT_EQ(system.encoder().records(), recorder.stream.size());
+    EXPECT_EQ(system.encoder().bitsWritten(), standalone.bitsWritten());
+    EXPECT_EQ(system.stats().transport_bytes,
+              static_cast<double>(standalone.bitsWritten()) / 8.0);
 }
 
 TEST(Experiment, UnmonitoredIsCached)

@@ -12,7 +12,7 @@
 #include <set>
 
 #include "asm/assembler.h"
-#include "compress/compressor.h"
+#include "compress/codec.h"
 #include "core/runner.h"
 #include "isa/disasm.h"
 #include "isa/encoding.h"
@@ -117,12 +117,21 @@ TEST_P(CompressorFuzz, RoundTripIsExact)
         trace.push_back(r);
     }
 
-    compress::LogCompressor c;
+    compress::Encoder c;
     for (const auto& r : trace) c.append(r);
-    compress::LogDecompressor d(c.bytes());
+    c.finishStream();
+    std::vector<std::uint8_t> bytes(c.pullableBytes());
+    c.pull(bytes.data(), bytes.size());
+    compress::Decoder d;
+    d.push(bytes.data(), bytes.size());
+    d.finishInput();
+    log::EventRecord record;
     for (std::size_t i = 0; i < trace.size(); ++i) {
-        ASSERT_EQ(d.next(), trace[i]) << "record " << i;
+        ASSERT_EQ(d.next(&record), compress::DecodeStatus::kOk)
+            << "record " << i << ": " << d.error().toString();
+        ASSERT_EQ(record, trace[i]) << "record " << i;
     }
+    EXPECT_EQ(d.next(&record), compress::DecodeStatus::kEnd);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressorFuzz,

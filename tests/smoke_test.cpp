@@ -255,6 +255,25 @@ TEST_F(SmokeTest, LbaTraceMissingArgumentsAreUsageErrors)
     EXPECT_EQ(runCommand(base + " info >/dev/null 2>&1"), 2);
     EXPECT_EQ(runCommand(base + " dump >/dev/null 2>&1"), 2);
     EXPECT_EQ(runCommand(base + " >/dev/null 2>&1"), 2);
+    // Numeric arguments are strict: empty, negative, garbage and
+    // trailing-garbage values are usage errors, never a silent default
+    // (or, for -1, a 2^64-instruction generation). Each is rejected
+    // before any file is touched.
+    std::string trace = ::testing::TempDir() + "smoke_numeric.lbat";
+    for (const char* value : {"''", "-1", "abc", "12x", "' 5'"}) {
+        EXPECT_EQ(runCommand(base + " gen gzip " + trace + " " + value +
+                             " >/dev/null 2>&1"),
+                  2)
+            << "gen count: " << value;
+        EXPECT_EQ(runCommand(base + " dump " + trace + " " + value +
+                             " >/dev/null 2>&1"),
+                  2)
+            << "dump count: " << value;
+    }
+    EXPECT_EQ(runCommand(base + " dump " + trace + " zz >/dev/null 2>&1"),
+              2);
+    // There is one codec, so no subcommand lists codecs.
+    EXPECT_EQ(runCommand(base + " codecs >/dev/null 2>&1"), 2);
 }
 
 TEST_F(SmokeTest, LbaTraceGenInfoDumpRoundTrip)

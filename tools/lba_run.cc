@@ -6,7 +6,7 @@
  * Usage:
  *   lba_run <benchmark> <addrcheck|taintcheck|lockset|bounds|memleak>
  *           [--instrs N] [--platform lba|dbi|both] [--shards N]
- *           [--transport-bw BYTES_PER_CYCLE] [--codec NAME]
+ *           [--transport-bw BYTES_PER_CYCLE]
  *           [--bugs uaf,double-free,leak,tainted-jump,race]
  *           [--tenants N] [--lanes M] [--sched static|rr|lag]
  *           [--containment abort|skip|patch|quarantine]
@@ -33,21 +33,15 @@
  * selects the host execution mode: `threaded` runs lifeguard handlers
  * on one worker thread per lane while every simulated cycle count
  * stays bit-identical to `serial` (docs/ARCHITECTURE.md "Threaded
- * execution"); it requires a batching dispatch tier. --codec selects
- * the registered log codec the transport accounting runs (`predictor`
- * is the default; see `lba_trace codecs` for the registry). --json
- * writes a machine-readable copy of the report to PATH.
+ * execution"); it requires a batching dispatch tier. --json writes a
+ * machine-readable copy of the report to PATH.
  */
 
-#include <charconv>
-#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
-#include "compress/registry.h"
 #include "core/runner.h"
 #include "lifeguards/addrcheck.h"
 #include "lifeguards/boundscheck.h"
@@ -60,9 +54,12 @@
 #include "workload/generator.h"
 #include "workload/profile.h"
 
+#include "parse_number.h"
+
 namespace {
 
 using namespace lba;
+using tools::parseNumber;
 
 int
 usage()
@@ -73,7 +70,6 @@ usage()
         "<addrcheck|taintcheck|lockset|bounds|memleak>\n"
         "               [--instrs N] [--platform lba|dbi|both]\n"
         "               [--shards N] [--transport-bw BYTES_PER_CYCLE]\n"
-        "               [--codec NAME]\n"
         "               [--bugs uaf,double-free,leak,tainted-jump,race]\n"
         "               [--tenants N] [--lanes M] "
         "[--sched static|rr|lag]\n"
@@ -82,27 +78,6 @@ usage()
         "               [--dispatch batched|per-record|fused]\n"
         "               [--execution serial|threaded]\n");
     return 2;
-}
-
-/**
- * Parse a numeric flag value: the whole of @p text must be one
- * non-negative decimal number representable in T (finite, for
- * floating point). Empty input, signs, trailing garbage and
- * out-of-range values are rejected, leaving @p out untouched.
- */
-template <typename T>
-bool
-parseNumber(const std::string& text, T* out)
-{
-    T value{};
-    const char* last = text.data() + text.size();
-    auto [end, error] = std::from_chars(text.data(), last, value);
-    if (text.empty() || error != std::errc{} || end != last) return false;
-    if constexpr (std::is_floating_point_v<T>) {
-        if (!std::isfinite(value) || std::signbit(value)) return false;
-    }
-    *out = value;
-    return true;
 }
 
 void
@@ -171,16 +146,14 @@ printResult(const core::PlatformResult& result)
                 static_cast<unsigned long long>(result.cycles),
                 result.slowdown);
     if (result.platform == "lba") {
-        std::printf("   (%.3f B/record via %s, %llu drains)",
+        std::printf("   (%.3f B/record, %llu drains)",
                     result.lba.bytes_per_record,
-                    result.lba.codec.c_str(),
                     static_cast<unsigned long long>(
                         result.lba.syscall_drains));
     }
     if (result.platform == "lba-parallel") {
-        std::printf("   (%.3f B/record via %s, %llu drains)",
+        std::printf("   (%.3f B/record, %llu drains)",
                     result.parallel.bytes_per_record,
-                    result.parallel.codec.c_str(),
                     static_cast<unsigned long long>(
                         result.parallel.syscall_drains));
     }
@@ -225,14 +198,12 @@ appendResultJson(stats::JsonWriter& json,
                static_cast<std::uint64_t>(result.findings.size()));
     if (result.platform == "lba") {
         json.field("bytes_per_record", result.lba.bytes_per_record);
-        json.field("codec", result.lba.codec);
         json.field("transport_bytes", result.lba.transport_bytes);
         json.field("mean_consume_lag", result.lba.mean_consume_lag);
     }
     if (result.platform == "lba-parallel") {
         json.field("bytes_per_record",
                    result.parallel.bytes_per_record);
-        json.field("codec", result.parallel.codec);
         json.field("transport_bytes",
                    result.parallel.transport_bytes);
         json.field("shards",
@@ -281,7 +252,7 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
                const core::LifeguardFactory& factory,
                std::uint64_t instrs, unsigned tenants, unsigned lanes,
                sched::Policy policy, double transport_bw,
-               const std::string& codec, core::DispatchTier dispatch_tier,
+               core::DispatchTier dispatch_tier,
                core::ExecutionMode execution,
                const workload::BugInjection& bugs,
                const replay::ContainmentConfig& containment,
@@ -291,7 +262,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     config.lanes = lanes;
     config.policy = policy;
     config.lba.transport_bytes_per_cycle = transport_bw;
-    config.lba.codec = codec;
     config.lba.dispatch_tier = dispatch_tier;
     config.lba.execution = execution;
     config.containment = containment;
@@ -349,7 +319,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
     json.field("tool", "lba_run");
     json.field("mode", "multi-tenant");
     json.field("lifeguard", lifeguard_name);
-    json.field("codec", codec);
     json.field("policy", result.policy);
     json.field("lanes", static_cast<std::uint64_t>(lanes));
     json.field("capacity_bytes_per_cycle",
@@ -373,7 +342,6 @@ runMultiTenant(const std::vector<std::string>& benchmarks,
         json.field("lag_p95", tenant.lag_p95);
         json.field("lag_p99", tenant.lag_p99);
         json.field("transport_bytes", tenant.lba.transport_bytes);
-        json.field("codec", tenant.lba.codec);
         json.field("findings",
                    static_cast<std::uint64_t>(tenant.findings.size()));
         if (tenant.containment_enabled) {
@@ -404,7 +372,6 @@ main(int argc, char** argv)
     unsigned lanes = 2;
     sched::Policy policy = sched::Policy::kStatic;
     double transport_bw = 0.0;
-    std::string codec = compress::kDefaultCodec;
     std::string json_path;
     workload::BugInjection bugs;
     replay::ContainmentConfig containment;
@@ -463,8 +430,6 @@ main(int argc, char** argv)
             ok = sched::parsePolicy(value, &policy);
         } else if (arg == "--transport-bw") {
             ok = parseNumber(value, &transport_bw);
-        } else if (arg == "--codec") {
-            codec = value;
         } else if (arg == "--containment") {
             containment.enabled = true;
             ok = replay::parseRepairPolicy(value, &containment.policy);
@@ -522,17 +487,6 @@ main(int argc, char** argv)
                              "--shards (use --lanes)\n");
         return usage();
     }
-    if (!compress::CodecRegistry::instance().find(codec)) {
-        std::fprintf(stderr, "unknown codec '%s'; registered:",
-                     codec.c_str());
-        for (const std::string& name :
-             compress::CodecRegistry::instance().names()) {
-            std::fprintf(stderr, " %s", name.c_str());
-        }
-        std::fprintf(stderr, "\n");
-        return usage();
-    }
-
     core::LifeguardFactory factory;
     if (lifeguard_name == "addrcheck") {
         factory = [] {
@@ -566,7 +520,7 @@ main(int argc, char** argv)
         if (benchmarks.empty()) return usage();
         return runMultiTenant(benchmarks, lifeguard_name, factory,
                               instrs, tenants, lanes, policy,
-                              transport_bw, codec, dispatch_tier,
+                              transport_bw, dispatch_tier,
                               execution, bugs, containment, json_path);
     }
 
@@ -582,7 +536,6 @@ main(int argc, char** argv)
     // The parallel platform inherits the same knob through
     // Experiment::runParallelLba (one timing engine under both).
     config.lba.transport_bytes_per_cycle = transport_bw;
-    config.lba.codec = codec;
     config.lba.dispatch_tier = dispatch_tier;
     config.lba.execution = execution;
     config.containment = containment;
@@ -617,7 +570,6 @@ main(int argc, char** argv)
     json.field("mode", "single");
     json.field("benchmark", benchmark);
     json.field("lifeguard", lifeguard_name);
-    json.field("codec", codec);
     json.key("results");
     json.beginArray();
     for (const core::PlatformResult& result : results) {

@@ -5,41 +5,42 @@
  * compressed event trace, or inspect/dump an existing trace file.
  *
  * Usage:
- *   lba_trace gen <benchmark> <out.lbat> [instructions] [--codec name]
+ *   lba_trace gen <benchmark> <out.lbat> [instructions]
  *   lba_trace info <trace.lbat>
  *   lba_trace dump <trace.lbat> [count]
  *   lba_trace list
- *   lba_trace codecs
+ *
+ * Numeric arguments must be plain non-negative decimal numbers that
+ * fit 64 bits; anything else is a usage error (exit 2).
  */
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
-#include "compress/registry.h"
 #include "compress/trace_file.h"
 #include "log/capture.h"
 #include "sim/process.h"
 #include "workload/generator.h"
 #include "workload/profile.h"
 
+#include "parse_number.h"
+
 namespace {
 
 using namespace lba;
+using tools::parseNumber;
 
 int
 usage()
 {
     std::fprintf(stderr,
                  "usage:\n"
-                 "  lba_trace gen <benchmark> <out.lbat> [instructions]"
-                 " [--codec name]\n"
+                 "  lba_trace gen <benchmark> <out.lbat> [instructions]\n"
                  "  lba_trace info <trace.lbat>\n"
                  "  lba_trace dump <trace.lbat> [count]\n"
-                 "  lba_trace list\n"
-                 "  lba_trace codecs\n");
+                 "  lba_trace list\n");
     return 2;
 }
 
@@ -65,22 +66,8 @@ cmdList()
 }
 
 int
-cmdCodecs()
-{
-    std::printf("registered codecs:\n");
-    auto& registry = compress::CodecRegistry::instance();
-    for (const std::string& name : registry.names()) {
-        const compress::CodecInfo* info = registry.find(name);
-        std::printf("  %-10s %s%s\n", name.c_str(),
-                    info->description.c_str(),
-                    name == compress::kDefaultCodec ? " [default]" : "");
-    }
-    return 0;
-}
-
-int
 cmdGen(const std::string& benchmark, const std::string& path,
-       std::uint64_t instructions, const std::string& codec)
+       std::uint64_t instructions)
 {
     const workload::Profile* profile = workload::findProfile(benchmark);
     if (!profile) {
@@ -101,17 +88,16 @@ cmdGen(const std::string& benchmark, const std::string& path,
     }
 
     compress::DecodeError error;
-    if (!compress::writeTrace(path, records, codec, &error)) {
+    if (!compress::writeTrace(path, records, &error)) {
         std::fprintf(stderr, "write failed: %s\n",
                      error.toString().c_str());
         return 1;
     }
     auto info = compress::readTraceInfo(path, &error);
-    std::printf("%s: %llu records, codec %s, %.3f bytes/record "
-                "compressed\n",
+    std::printf("%s: %llu records, %.3f bytes/record compressed\n",
                 path.c_str(),
                 static_cast<unsigned long long>(records.size()),
-                codec.c_str(), info ? info->bytesPerRecord() : 0.0);
+                info ? info->bytesPerRecord() : 0.0);
     return 0;
 }
 
@@ -163,42 +149,22 @@ int
 main(int argc, char** argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-
-    // Extract --codec wherever it appears; positional args remain.
-    std::string codec = compress::kDefaultCodec;
-    for (std::size_t i = 0; i < args.size();) {
-        if (args[i] == "--codec" && i + 1 < args.size()) {
-            codec = args[i + 1];
-            args.erase(args.begin() + static_cast<long>(i),
-                       args.begin() + static_cast<long>(i) + 2);
-        } else {
-            ++i;
-        }
-    }
-    if (!compress::CodecRegistry::instance().find(codec)) {
-        std::fprintf(stderr, "unknown codec '%s' (try: codecs)\n",
-                     codec.c_str());
-        return 2;
-    }
-
     if (args.empty()) return usage();
     const std::string& cmd = args[0];
     if (cmd == "list") return cmdList();
-    if (cmd == "codecs") return cmdCodecs();
     if (cmd == "gen" && (args.size() == 3 || args.size() == 4)) {
-        std::uint64_t instrs =
-            args.size() == 4
-                ? std::strtoull(args[3].c_str(), nullptr, 10)
-                : 250000;
-        return cmdGen(args[1], args[2], instrs ? instrs : 250000,
-                      codec);
+        std::uint64_t instrs = 250000;
+        if (args.size() == 4 && !parseNumber(args[3], &instrs)) {
+            return usage();
+        }
+        return cmdGen(args[1], args[2], instrs ? instrs : 250000);
     }
     if (cmd == "info" && args.size() == 2) return cmdInfo(args[1]);
     if (cmd == "dump" && (args.size() == 2 || args.size() == 3)) {
-        std::uint64_t count =
-            args.size() == 3
-                ? std::strtoull(args[2].c_str(), nullptr, 10)
-                : 20;
+        std::uint64_t count = 20;
+        if (args.size() == 3 && !parseNumber(args[2], &count)) {
+            return usage();
+        }
         return cmdDump(args[1], count);
     }
     return usage();
