@@ -186,6 +186,17 @@ void
 Decoder::push(const std::uint8_t* data, std::size_t n)
 {
     LBA_ASSERT(!input_done_, "push after finishInput");
+    // Between next() calls the reader sits on a record boundary, so
+    // every whole byte before it is decoded and never read again.
+    const std::uint64_t pos = reader_.bitPos();
+    const std::size_t decoded = static_cast<std::size_t>(pos / 8);
+    if (decoded > 0) {
+        buffer_.erase(buffer_.begin(),
+                      buffer_.begin() +
+                          static_cast<std::ptrdiff_t>(decoded));
+        reader_.seekBit(pos % 8);
+        dropped_ += decoded;
+    }
     buffer_.insert(buffer_.end(), data, data + n);
 }
 
@@ -209,8 +220,7 @@ Decoder::next(EventRecord* out)
         return DecodeStatus::kEnd;
     }
     error_ = DecodeError::make(DecodeErrorKind::kTruncated,
-                               reader_.bitPos() / 8,
-                               "input ends mid-record");
+                               offset(), "input ends mid-record");
     return DecodeStatus::kError;
 }
 
@@ -239,7 +249,7 @@ Decoder::decodeRecord(EventRecord* out)
     };
     auto fail = [&](const char* message) {
         error_ = DecodeError::make(DecodeErrorKind::kMalformed,
-                                   reader_.bitPos() / 8, message);
+                                   offset(), message);
         reader_.seekBit(start);
         return DecodeStatus::kError;
     };

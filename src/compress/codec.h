@@ -219,8 +219,11 @@ class Encoder
 
 /**
  * Streaming decoder over untrusted bytes: push chunks, pull records.
- * See the file comment for the contract. Neither copyable nor movable:
- * its BitReader refers to the buffer it owns.
+ * See the file comment for the contract. It holds only the bytes from
+ * the current record boundary on: push() first drops the whole bytes
+ * already decoded, so a stream fed in chunks costs one chunk (plus a
+ * partial record) of memory, not the stream. Neither copyable nor
+ * movable: its BitReader refers to the buffer it owns.
  */
 class Decoder
 {
@@ -229,7 +232,8 @@ class Decoder
     Decoder(const Decoder&) = delete;
     Decoder& operator=(const Decoder&) = delete;
 
-    /** Feed @p n more encoded bytes (any chunking, including n = 0). */
+    /** Feed @p n more encoded bytes (any chunking, including n = 0).
+     *  Bytes before the current record boundary are released first. */
     void push(const std::uint8_t* data, std::size_t n);
 
     /**
@@ -257,7 +261,17 @@ class Decoder
      */
     DecodeStatus decodeRecord(log::EventRecord* out);
 
+    /** Absolute stream offset of the reader's current byte. */
+    std::uint64_t
+    offset() const
+    {
+        return dropped_ + reader_.bitPos() / 8;
+    }
+
+    /** The undecoded tail of the stream, from byte dropped_ on. */
     std::vector<std::uint8_t> buffer_;
+    /** Bytes released from the front of the stream so far. */
+    std::uint64_t dropped_ = 0;
     BitReader reader_;
     PredictorBank bank_;
     DecodeError error_;

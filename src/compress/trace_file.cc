@@ -10,6 +10,7 @@
 
 #include "compress/trace_file.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -23,6 +24,9 @@ constexpr std::uint32_t kVersionV1 = 1;
 constexpr std::uint32_t kVersionV2 = 2;
 /** Fixed header prefix shared by v1 and v2. */
 constexpr std::size_t kFixedHeaderBytes = 28;
+/** readTrace() feeds the payload to the decoder this many bytes at a
+ *  time. */
+constexpr std::uint64_t kReadChunkBytes = 64 * 1024;
 
 void
 put64(std::uint8_t* out, std::uint64_t value)
@@ -239,30 +243,38 @@ readTrace(const std::string& path, DecodeError* error)
         return std::nullopt;
     }
 
-    // payload_bytes was validated against the file size, so this
-    // allocation is bounded by real on-disk bytes.
-    std::vector<std::uint8_t> payload(info.payload_bytes);
-    if (!payload.empty() &&
-        std::fread(payload.data(), 1, payload.size(), file.get()) !=
-            payload.size()) {
-        fail(error, DecodeErrorKind::kIo, payload_offset,
-             "payload read failed");
-        return std::nullopt;
-    }
-
+    // The payload streams through the decoder in fixed chunks, so
+    // neither this function nor the decoder ever holds the whole
+    // payload. No reserve(): the header's record count is untrusted,
+    // so the vector grows only as records really decode.
     Decoder decoder;
-    decoder.push(payload.data(), payload.size());
-    decoder.finishInput();
-
-    // No reserve(): the header's record count is untrusted, so the
-    // vector grows only as records really decode.
+    std::uint64_t unread = info.payload_bytes;
+    if (unread == 0) decoder.finishInput();
+    std::vector<std::uint8_t> chunk(
+        static_cast<std::size_t>(std::min(unread, kReadChunkBytes)));
     std::vector<log::EventRecord> records;
-    for (std::uint64_t i = 0; i < info.records; ++i) {
+    for (std::uint64_t i = 0; i < info.records;) {
         log::EventRecord record;
         switch (decoder.next(&record)) {
           case DecodeStatus::kOk:
             records.push_back(record);
+            ++i;
             break;
+          case DecodeStatus::kNeedMore: {
+            // Only before finishInput(), so unread > 0.
+            std::size_t n = static_cast<std::size_t>(
+                std::min<std::uint64_t>(unread, chunk.size()));
+            if (std::fread(chunk.data(), 1, n, file.get()) != n) {
+                fail(error, DecodeErrorKind::kIo,
+                     payload_offset + info.payload_bytes - unread,
+                     "payload read failed");
+                return std::nullopt;
+            }
+            decoder.push(chunk.data(), n);
+            unread -= n;
+            if (unread == 0) decoder.finishInput();
+            break;
+          }
           case DecodeStatus::kEnd:
             fail(error, DecodeErrorKind::kTruncated, payload_offset,
                  "payload ends after " + std::to_string(i) + " of " +
@@ -274,12 +286,6 @@ readTrace(const std::string& path, DecodeError* error)
                  "record " + std::to_string(i) + ": " + inner.message);
             return std::nullopt;
           }
-          case DecodeStatus::kNeedMore:
-            // Unreachable: finishInput() was called, so the decoder
-            // resolves incomplete records to kError/kEnd instead.
-            fail(error, DecodeErrorKind::kTruncated, payload_offset,
-                 "decoder stalled mid-payload");
-            return std::nullopt;
         }
     }
     if (error) *error = DecodeError{};

@@ -10,7 +10,9 @@ namespace lba::core {
 LbaSystem::LbaSystem(lifeguard::Lifeguard& lifeguard,
                      mem::CacheHierarchy& hierarchy,
                      const LbaConfig& config)
-    : timer_(hierarchy, config, {&lifeguard})
+    : engine_(lifeguard, hierarchy, config.dispatch),
+      targets_{{0, &engine_}},
+      timer_(hierarchy, config, 1)
 {
 }
 
@@ -18,7 +20,7 @@ void
 LbaSystem::onRetire(const sim::Retired& retired)
 {
     timer_.retire(retired);
-    timer_.log(log::CaptureUnit::makeRecord(retired), 0);
+    timer_.log(0, log::CaptureUnit::makeRecord(retired), targets_);
     if (retired.is_syscall) {
         // The OS stalls the syscall until the lifeguard has checked all
         // prior log entries; applied before the next retirement so the
@@ -30,13 +32,14 @@ LbaSystem::onRetire(const sim::Retired& retired)
 void
 LbaSystem::onOsEvent(const sim::OsEvent& event)
 {
-    timer_.log(log::CaptureUnit::makeRecord(event), 0);
+    timer_.log(0, log::CaptureUnit::makeRecord(event), targets_);
 }
 
 void
 LbaSystem::finish()
 {
-    timer_.finishAll();
+    timer_.finishShard(0, 0, engine_);
+    timer_.seal();
 }
 
 } // namespace lba::core

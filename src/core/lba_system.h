@@ -27,7 +27,8 @@
  *
  * The recurrence itself lives in core::PipelineTimer (which also drives
  * the parallel system as its N-lane generalisation); LbaSystem is the
- * single-lane instantiation. docs/ARCHITECTURE.md walks this pipeline
+ * single-lane instantiation: one dispatch engine, the one target of
+ * every record. docs/ARCHITECTURE.md walks this pipeline
  * and timing model in prose.
  */
 
@@ -50,6 +51,10 @@ class LbaSystem : public sim::RetireObserver
      */
     LbaSystem(lifeguard::Lifeguard& lifeguard,
               mem::CacheHierarchy& hierarchy, const LbaConfig& config = {});
+
+    // Neither copyable nor movable: targets_ points at engine_.
+    LbaSystem(const LbaSystem&) = delete;
+    LbaSystem& operator=(const LbaSystem&) = delete;
 
     // The retire stream must stay on the thread that built the system
     // (the coordinator); the timer underneath asserts it at runtime,
@@ -78,7 +83,8 @@ class LbaSystem : public sim::RetireObserver
     lifeguard::DispatchStats
     dispatchStats() const LBA_COORDINATOR_ONLY
     {
-        return timer_.dispatchStats(0);
+        timer_.sync();
+        return engine_.stats();
     }
 
     /** The run's log-stream encoder. */
@@ -87,16 +93,15 @@ class LbaSystem : public sim::RetireObserver
         return timer_.encoder();
     }
 
-    lifeguard::Lifeguard&
-    lifeguard() LBA_COORDINATOR_ONLY
-    {
-        return timer_.lifeguard(0);
-    }
-
     /** The underlying timing engine (containment integration). */
     PipelineTimer& timer() { return timer_; }
 
   private:
+    lifeguard::DispatchEngine engine_;
+    /** Every record's one target: lane 0, engine_. Declared after the
+     *  engine it points to; the timer last, so its worker threads
+     *  (threaded execution) are joined before the engine goes away. */
+    std::vector<PipelineTimer::Target> targets_;
     PipelineTimer timer_;
 };
 

@@ -18,27 +18,30 @@ using log::EventType;
 ParallelLbaSystem::ParallelLbaSystem(const Factory& factory,
                                      mem::CacheHierarchy& hierarchy,
                                      const ParallelLbaConfig& config)
+    : timer_(hierarchy, config, config.shards)
 {
-    LBA_ASSERT(config.shards >= 1, "need at least one shard");
-    std::vector<lifeguard::Lifeguard*> lanes;
     for (unsigned s = 0; s < config.shards; ++s) {
         lifeguards_.push_back(factory());
         LBA_ASSERT(lifeguards_.back() != nullptr,
                    "lifeguard factory returned null");
-        lanes.push_back(lifeguards_.back().get());
+        lifeguard::DispatchConfig dc = config.dispatch;
+        dc.core = config.dispatch.core + s;
+        engines_.push_back(std::make_unique<lifeguard::DispatchEngine>(
+            *lifeguards_.back(), hierarchy, dc));
+        shard_targets_.push_back({{s, engines_.back().get()}});
+        broadcast_targets_.push_back({s, engines_.back().get()});
     }
-    timer_ = std::make_unique<PipelineTimer>(hierarchy, config, lanes);
 }
 
 unsigned
-ParallelLbaSystem::route(const EventRecord& record)
+routeShard(const EventRecord& record, unsigned shards,
+           std::uint64_t* round_robin)
 {
     switch (record.type) {
       case EventType::kLoad:
       case EventType::kStore:
         // Address partition: 64-byte regions interleaved across shards.
-        return static_cast<unsigned>((record.addr >> 6) %
-                                     lifeguards_.size());
+        return static_cast<unsigned>((record.addr >> 6) % shards);
       case EventType::kAlloc:
       case EventType::kFree:
       case EventType::kInput:
@@ -47,41 +50,50 @@ ParallelLbaSystem::route(const EventRecord& record)
       case EventType::kUnlock:
       case EventType::kThreadSpawn:
       case EventType::kThreadExit:
-        return PipelineTimer::kBroadcast;
+        return kBroadcast;
       default:
-        return static_cast<unsigned>(round_robin_++ %
-                                     lifeguards_.size());
+        return static_cast<unsigned>((*round_robin)++ % shards);
     }
+}
+
+void
+ParallelLbaSystem::deliver(const EventRecord& record)
+{
+    unsigned shard = routeShard(record, shards(), &round_robin_);
+    timer_.log(0, record,
+               shard == kBroadcast ? broadcast_targets_
+                                   : shard_targets_[shard]);
 }
 
 void
 ParallelLbaSystem::onRetire(const sim::Retired& retired)
 {
-    timer_->retire(retired);
-    log::EventRecord record = log::CaptureUnit::makeRecord(retired);
-    timer_->log(record, route(record));
+    timer_.retire(retired);
+    deliver(log::CaptureUnit::makeRecord(retired));
     if (retired.is_syscall) {
         // Same containment ordering as the serial system: the drain is
         // armed after the syscall record itself is logged and applied
         // before the next retirement, so the annotation records emitted
         // by this syscall's onOsEvent are drained too.
-        timer_->noteSyscall();
+        timer_.noteSyscall();
     }
 }
 
 void
 ParallelLbaSystem::onOsEvent(const sim::OsEvent& event)
 {
-    log::EventRecord record = log::CaptureUnit::makeRecord(event);
-    timer_->log(record, route(record));
+    deliver(log::CaptureUnit::makeRecord(event));
 }
 
 void
 ParallelLbaSystem::finish()
 {
-    timer_->finishAll();
-    static_cast<LbaRunStats&>(stats_) = timer_->stats();
-    unsigned n = timer_->lanes();
+    for (unsigned s = 0; s < shards(); ++s) {
+        timer_.finishShard(0, s, *engines_[s]);
+    }
+    timer_.seal();
+    static_cast<LbaRunStats&>(stats_) = timer_.stats();
+    unsigned n = shards();
     stats_.shard_busy_cycles.resize(n);
     stats_.shard_records.resize(n);
     stats_.shard_consume_lag.resize(n);
@@ -89,13 +101,13 @@ ParallelLbaSystem::finish()
     stats_.shard_transport_wait_cycles.resize(n);
     stats_.shard_max_occupancy.resize(n);
     for (unsigned s = 0; s < n; ++s) {
-        stats_.shard_busy_cycles[s] = timer_->laneBusyCycles(s);
-        stats_.shard_records[s] = timer_->laneRecords(s);
-        stats_.shard_consume_lag[s] = timer_->laneMeanConsumeLag(s);
-        stats_.shard_transport_bytes[s] = timer_->laneTransportBytes(s);
+        stats_.shard_busy_cycles[s] = timer_.laneBusyCycles(s);
+        stats_.shard_records[s] = timer_.laneRecords(s);
+        stats_.shard_consume_lag[s] = timer_.laneMeanConsumeLag(s);
+        stats_.shard_transport_bytes[s] = timer_.laneTransportBytes(s);
         stats_.shard_transport_wait_cycles[s] =
-            timer_->laneTransportWaitCycles(s);
-        stats_.shard_max_occupancy[s] = timer_->laneMaxOccupancy(s);
+            timer_.laneTransportWaitCycles(s);
+        stats_.shard_max_occupancy[s] = timer_.laneMaxOccupancy(s);
     }
 }
 

@@ -14,13 +14,18 @@
  * handlers for shardable lifeguards are no-ops, so this only balances
  * dispatch cost).
  *
+ * routeShard() below is that policy, and the only copy of it: the
+ * multi-tenant pool (sched/pool.h) shards each tenant's log through it
+ * too, which is what makes a one-tenant pool cycle-identical to this
+ * system.
+ *
  * Timing is the shared core::PipelineTimer engine with one lane per
- * shard: each lane has its own log buffer, transport link and dispatch
- * engine, so filtering, compression accounting, back-pressure, syscall
- * containment and the consume-lag statistics behave identically to the
- * serial LbaSystem — with shards=1 the two systems are cycle-identical
- * by construction (asserted by tests/core_test.cpp's differential
- * tests).
+ * shard: each lane has its own log buffer and transport link, and each
+ * shard its own dispatch engine, so filtering, compression accounting,
+ * back-pressure, syscall containment and the consume-lag statistics
+ * behave identically to the serial LbaSystem — with shards=1 the two
+ * systems are cycle-identical by construction (asserted by
+ * tests/core_test.cpp's differential tests).
  *
  * This partitioning preserves the semantics of per-address lifeguards
  * (AddrCheck, LockSet). TaintCheck is NOT shardable this way: its
@@ -79,6 +84,18 @@ struct ParallelLbaStats : LbaRunStats
     std::vector<std::uint64_t> shard_max_occupancy;
 };
 
+/** routeShard() result meaning "deliver to every shard". */
+inline constexpr unsigned kBroadcast = ~0u;
+
+/**
+ * The sharding policy (see the file comment): the shard in [0, shards)
+ * that consumes @p record, or kBroadcast for annotation records.
+ * @p round_robin is the caller's cursor for instruction records (one per
+ * log stream), advanced on each use.
+ */
+unsigned routeShard(const log::EventRecord& record, unsigned shards,
+                    std::uint64_t* round_robin);
+
 /**
  * Merge the findings of several lifeguard instances monitoring the same
  * application: annotation records are broadcast, so state derived from
@@ -121,10 +138,10 @@ class ParallelLbaSystem : public sim::RetireObserver
     std::vector<lifeguard::Finding> allFindings() const
         LBA_COORDINATOR_ONLY;
 
-    unsigned shards() const { return timer_->lanes(); }
+    unsigned shards() const { return timer_.lanes(); }
 
     /** The underlying timing engine (containment integration). */
-    PipelineTimer& timer() { return *timer_; }
+    PipelineTimer& timer() { return timer_; }
 
     /** The shard lifeguard instances (containment watch list). */
     std::vector<const lifeguard::Lifeguard*> shardLifeguards() const;
@@ -133,15 +150,22 @@ class ParallelLbaSystem : public sim::RetireObserver
     lifeguard::DispatchStats
     dispatchStats(unsigned shard) const LBA_COORDINATOR_ONLY
     {
-        return timer_->dispatchStats(shard);
+        timer_.sync();
+        return engines_.at(shard)->stats();
     }
 
   private:
-    /** Route a record to its shard (kBroadcast for annotations). */
-    unsigned route(const log::EventRecord& record);
+    /** Deliver one record to its shard (or every shard). */
+    void deliver(const log::EventRecord& record) LBA_COORDINATOR_ONLY;
 
     std::vector<std::unique_ptr<lifeguard::Lifeguard>> lifeguards_;
-    std::unique_ptr<PipelineTimer> timer_;
+    std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines_;
+    /** Declared after the engines so its worker threads (threaded
+     *  execution) are joined before the engines go away. */
+    PipelineTimer timer_;
+    /** Fixed delivery targets: shard s alone, and every shard. */
+    std::vector<std::vector<PipelineTimer::Target>> shard_targets_;
+    std::vector<PipelineTimer::Target> broadcast_targets_;
     std::uint64_t round_robin_ = 0;
     ParallelLbaStats stats_;
 };

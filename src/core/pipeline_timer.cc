@@ -15,68 +15,24 @@ namespace lba::core {
 using log::EventRecord;
 using log::EventType;
 
-PipelineTimer::PipelineTimer(
-    mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-    const std::vector<lifeguard::Lifeguard*>& lifeguards,
-    const std::vector<LaneLimits>& lane_limits)
+PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
+                             const LbaConfig& config, unsigned nlanes)
     : hierarchy_(hierarchy), config_(config)
 {
     // The constructing thread is the coordinator by definition (the
-    // runtime twin is coordinator_, recorded in buildLanes).
-    threading::assumeCoordinatorRole();
-    LBA_ASSERT(!lifeguards.empty(), "timer needs at least one lane");
-    buildLanes(static_cast<unsigned>(lifeguards.size()), lifeguards,
-               lane_limits);
-}
-
-PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
-                             const LbaConfig& config, unsigned nlanes,
-                             const std::vector<LaneLimits>& lane_limits)
-    : hierarchy_(hierarchy), config_(config)
-{
+    // runtime twin is coordinator_, recorded below).
     threading::assumeCoordinatorRole();
     LBA_ASSERT(nlanes >= 1, "timer needs at least one lane");
-    buildLanes(nlanes, {}, lane_limits);
-}
-
-void
-PipelineTimer::buildLanes(
-    unsigned nlanes, const std::vector<lifeguard::Lifeguard*>& lifeguards,
-    const std::vector<LaneLimits>& lane_limits)
-{
     LBA_ASSERT(hierarchy_.config().num_cores >=
                    config_.dispatch.core + nlanes,
                "hierarchy must provide one core per lane plus the app");
     LBA_ASSERT(config_.app_core < config_.dispatch.core ||
                    config_.app_core >= config_.dispatch.core + nlanes,
                "application and lifeguard must use different cores");
-    LBA_ASSERT(lane_limits.empty() || lane_limits.size() == nlanes,
-               "lane limits must cover every lane or none");
 
     lanes_.reserve(nlanes);
     for (unsigned i = 0; i < nlanes; ++i) {
-        std::size_t capacity = config_.buffer_capacity;
-        double bandwidth = config_.transport_bytes_per_cycle;
-        if (!lane_limits.empty()) {
-            const LaneLimits& limits = lane_limits[i];
-            if (limits.buffer_capacity > 0) {
-                capacity = limits.buffer_capacity;
-            }
-            if (limits.transport_bytes_per_cycle >= 0.0) {
-                bandwidth = limits.transport_bytes_per_cycle;
-            }
-        }
-        Lane lane(capacity);
-        lane.bytes_per_cycle = bandwidth;
-        if (!lifeguards.empty()) {
-            LBA_ASSERT(lifeguards[i] != nullptr, "lane lifeguard is null");
-            lane.lifeguard = lifeguards[i];
-            lifeguard::DispatchConfig dc = config_.dispatch;
-            dc.core = config_.dispatch.core + i;
-            lane.dispatch = std::make_unique<lifeguard::DispatchEngine>(
-                *lane.lifeguard, hierarchy_, dc);
-        }
-        lanes_.push_back(std::move(lane));
+        lanes_.emplace_back(config_.buffer_capacity);
     }
 
     Producer primary;
@@ -89,15 +45,9 @@ PipelineTimer::buildLanes(
                    "tier (its flush boundaries are the cross-thread "
                    "barriers)");
         coordinator_ = std::this_thread::get_id();
+        // Engines pin to a worker lazily, at the first flush that
+        // carries them (hint: the lane they first deliver on).
         executor_ = std::make_unique<ThreadedExecutor>(nlanes);
-        // Pin each intrinsic engine to its lane's worker up front.
-        // External-dispatch engines (pool tenants) pin lazily, at the
-        // first flush that carries them.
-        for (unsigned i = 0; i < nlanes; ++i) {
-            if (lanes_[i].dispatch) {
-                executor_->bind(lanes_[i].dispatch.get(), i);
-            }
-        }
     }
 }
 
@@ -222,11 +172,12 @@ PipelineTimer::applyRecordTiming(Producer& producer, Lane& lane,
     // the last byte must have fully arrived, so delivery lands on the
     // first cycle boundary at or after the transport completes.
     Cycles delivered_at = produced_at;
-    if (lane.bytes_per_cycle > 0.0) {
+    const double bytes_per_cycle = config_.transport_bytes_per_cycle;
+    if (bytes_per_cycle > 0.0) {
         lane.transport_free =
             std::max(lane.transport_free,
                      static_cast<double>(produced_at)) +
-            record_bytes / lane.bytes_per_cycle;
+            record_bytes / bytes_per_cycle;
         delivered_at = static_cast<Cycles>(std::ceil(lane.transport_free));
         if (delivered_at > produced_at) {
             Cycles wait = delivered_at - produced_at;
@@ -387,52 +338,6 @@ PipelineTimer::runPendingThreaded(std::size_t n)
 }
 
 bool
-PipelineTimer::admitRecord(Producer& producer, const EventRecord& record,
-                           double* record_bytes)
-{
-    if (filtered(record)) {
-        ++stats_.records_filtered;
-        ++producer.stats.records_filtered;
-        return false;
-    }
-    *record_bytes = transportCost(producer, record);
-    return true;
-}
-
-bool
-PipelineTimer::log(const EventRecord& record, unsigned lane)
-{
-    assertCoordinator();
-    Producer& producer = producers_.front();
-    double record_bytes = 0.0;
-    if (!admitRecord(producer, record, &record_bytes)) return false;
-
-    // Reserve a slot in every target lane first: the application can
-    // only append the record once all of its consumers have room, so
-    // produce(i) reflects the back-pressure of the slowest target lane.
-    if (lane == kBroadcast) {
-        for (Lane& l : lanes_) reserveSlots(producer, l, 1);
-        Cycles produced_at = producer.app_time;
-        for (Lane& l : lanes_) {
-            LBA_ASSERT(l.dispatch, "broadcast lane has no dispatch engine");
-            consumeOn(producer, l, *l.dispatch, record, produced_at,
-                      record_bytes);
-        }
-    } else {
-        LBA_ASSERT(lane < lanes_.size(), "record routed to bad lane");
-        Lane& l = lanes_[lane];
-        LBA_ASSERT(l.dispatch, "lane has no dispatch engine; use the "
-                               "external-dispatch log() overload");
-        reserveSlots(producer, l, 1);
-        consumeOn(producer, l, *l.dispatch, record, producer.app_time,
-                  record_bytes);
-    }
-    ++stats_.records_logged;
-    ++producer.stats.records_logged;
-    return true;
-}
-
-bool
 PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
                    const std::vector<Target>& targets)
 {
@@ -440,29 +345,32 @@ PipelineTimer::log(unsigned producer_idx, const EventRecord& record,
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     LBA_ASSERT(!targets.empty(), "record needs at least one target");
     Producer& producer = producers_[producer_idx];
-    double record_bytes = 0.0;
-    if (!admitRecord(producer, record, &record_bytes)) return false;
-
-    // Same ordering as the broadcast path: all slots first, so
-    // produce(i) reflects the slowest target lane, then consume in
-    // target order. A lane takes one slot per target folded onto it,
-    // so count per-lane demand first (first-seen lane order).
-    lane_demand_.clear();
-    for (const Target& target : targets) {
-        LBA_ASSERT(target.lane < lanes_.size(),
-                   "record routed to bad lane");
-        bool found = false;
-        for (auto& [lane, count] : lane_demand_) {
-            if (lane == target.lane) {
-                ++count;
-                found = true;
-                break;
-            }
-        }
-        if (!found) lane_demand_.emplace_back(target.lane, 1);
+    if (filtered(record)) {
+        ++stats_.records_filtered;
+        ++producer.stats.records_filtered;
+        return false;
     }
-    for (const auto& [lane, count] : lane_demand_) {
-        reserveSlots(producer, lanes_[lane], count);
+    double record_bytes = transportCost(producer, record);
+
+    // Reserve every target slot first: the application can only append
+    // the record once all of its consumers have room, so produce(i)
+    // reflects the back-pressure of the slowest target lane. Then
+    // consume in target order. A lane takes one slot per target folded
+    // onto it, reserved at once, in first-seen lane order.
+    const std::size_t n = targets.size();
+    for (std::size_t k = 0; k < n; ++k) {
+        const unsigned lane = targets[k].lane;
+        LBA_ASSERT(lane < lanes_.size(), "record routed to bad lane");
+        bool seen = false;
+        for (std::size_t j = 0; j < k && !seen; ++j) {
+            seen = targets[j].lane == lane;
+        }
+        if (seen) continue;
+        std::size_t slots = 1;
+        for (std::size_t j = k + 1; j < n; ++j) {
+            slots += targets[j].lane == lane;
+        }
+        reserveSlots(producer, lanes_[lane], slots);
     }
     Cycles produced_at = producer.app_time;
     for (const Target& target : targets) {
@@ -620,22 +528,10 @@ PipelineTimer::seal()
     stats_.mean_consume_lag = consume_lag_.mean();
 }
 
-void
-PipelineTimer::finishAll()
-{
-    assertCoordinator();
-    for (unsigned i = 0; i < lanes(); ++i) {
-        LBA_ASSERT(lanes_[i].dispatch,
-                   "finishAll() needs intrinsic dispatch engines");
-        finishShard(0, i, *lanes_[i].dispatch);
-    }
-    seal();
-}
-
 const LbaRunStats&
 PipelineTimer::producerStats(unsigned producer) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(producer < producers_.size(), "bad producer index");
     return producers_[producer].stats;
 }
@@ -647,29 +543,10 @@ PipelineTimer::producerTime(unsigned producer) const
     return producers_[producer].app_time;
 }
 
-lifeguard::DispatchStats
-PipelineTimer::dispatchStats(unsigned lane) const
-{
-    syncConst();
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    LBA_ASSERT(lanes_[lane].dispatch, "lane has no dispatch engine");
-    return lanes_[lane].dispatch->stats();
-}
-
-lifeguard::Lifeguard&
-PipelineTimer::lifeguard(unsigned lane) const
-{
-    LBA_ASSERT(lane < lanes_.size(), "bad lane index");
-    LBA_ASSERT(lanes_[lane].lifeguard, "lane has no intrinsic lifeguard");
-    // Callers read mid-run lifeguard state (findings); catch it up.
-    syncConst();
-    return *lanes_[lane].lifeguard;
-}
-
 Cycles
 PipelineTimer::laneLastFinish(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].last_finish;
 }
@@ -677,7 +554,7 @@ PipelineTimer::laneLastFinish(unsigned lane) const
 Cycles
 PipelineTimer::laneBusyCycles(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].busy_cycles;
 }
@@ -685,7 +562,7 @@ PipelineTimer::laneBusyCycles(unsigned lane) const
 std::uint64_t
 PipelineTimer::laneRecords(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].records;
 }
@@ -700,7 +577,7 @@ PipelineTimer::laneMaxOccupancy(unsigned lane) const
 double
 PipelineTimer::laneMeanConsumeLag(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].consume_lag.mean();
 }
@@ -708,7 +585,7 @@ PipelineTimer::laneMeanConsumeLag(unsigned lane) const
 double
 PipelineTimer::laneTransportBytes(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].transport_bytes;
 }
@@ -716,7 +593,7 @@ PipelineTimer::laneTransportBytes(unsigned lane) const
 Cycles
 PipelineTimer::laneTransportWaitCycles(unsigned lane) const
 {
-    syncConst();
+    sync();
     LBA_ASSERT(lane < lanes_.size(), "bad lane index");
     return lanes_[lane].transport_wait_cycles;
 }

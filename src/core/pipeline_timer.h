@@ -7,9 +7,9 @@
  * platforms.
  *
  * A PipelineTimer owns one or more *lanes*. Each lane models one
- * lifeguard core with its own dispatch engine, its own bounded log
- * buffer, and its own bandwidth-limited transport link. For every record
- * delivered to lane L we compute
+ * lifeguard core with its own bounded log buffer and its own
+ * bandwidth-limited transport link. For every record delivered to lane
+ * L we compute
  *
  *   produce(i)   = app core time after the instruction retires, delayed
  *                  while any target lane's buffer is full (back-pressure);
@@ -78,17 +78,23 @@
  * cycle identity across serial/shards/pool/containment configurations;
  * docs/ARCHITECTURE.md "Threaded execution" gives the full argument.
  *
- * Multi-tenant generalisation (src/sched/). The timer also supports
- * multiple *producers*: independent monitored applications, each with its
- * own application-core clock, log stream (compressor), back-pressure and
- * containment state. Lanes are shared — records from different producers
- * serialize on each lane's clock, which is how lifeguard capacity becomes
- * a scheduled resource. In this mode the caller supplies the dispatch
- * engine per delivery (a lane context-switches between tenants' lifeguard
- * shards), so lanes are constructed without intrinsic lifeguards. With
- * one producer whose targets are the identity shard->lane map, the
- * recurrence is bit-for-bit the single-producer engine, which the
- * one-tenant differential tests in tests/sched_test.cpp assert.
+ * Delivery. Lanes own no lifeguard: every log() call names its
+ * targets, each a (lane, dispatch engine) pair, and the caller owns the
+ * engines. The serial system passes one fixed target, the parallel
+ * system one per shard (or every shard, for a broadcast; the routing
+ * is core::routeShard in core/parallel.h), and the multi-tenant pool
+ * (src/sched/) maps each tenant's shard engines onto shared lanes.
+ * Every run ends the same way: finishShard() per (engine, lane), then
+ * seal().
+ *
+ * Multiple producers. The timer also supports several independent
+ * monitored applications, each with its own application-core clock, log
+ * stream (compressor), back-pressure and containment state. Lanes are
+ * shared — records from different producers serialize on each lane's
+ * clock, which is how lifeguard capacity becomes a scheduled resource.
+ * A one-tenant pool (identity shard->lane map) makes exactly the
+ * parallel system's log() calls, which the one-tenant differential
+ * tests in tests/sched_test.cpp assert cycle for cycle.
  */
 
 #include <cstddef>
@@ -199,19 +205,6 @@ struct LbaConfig
     ExecutionMode execution = ExecutionMode::kSerial;
 };
 
-/**
- * Per-lane overrides for heterogeneous pools: a lane may have its own
- * buffer size and transport bandwidth (e.g. one fat lane plus several
- * thin ones). Values <= 0 inherit the LbaConfig-wide setting.
- */
-struct LaneLimits
-{
-    /** Log buffer capacity in records (0 = LbaConfig::buffer_capacity). */
-    std::size_t buffer_capacity = 0;
-    /** Transport bytes/cycle (< 0 = LbaConfig value; 0 = unlimited). */
-    double transport_bytes_per_cycle = -1.0;
-};
-
 /** Timing/traffic statistics of one LBA run (aggregated over lanes). */
 struct LbaRunStats
 {
@@ -248,19 +241,16 @@ struct LbaRunStats
 
 /**
  * The shared timing engine. Owns the per-producer compressors, the
- * per-lane buffers and dispatch engines, and the application-core
- * clocks; the systems on top only decide routing (which lane a record
+ * per-lane buffers and the application-core clocks; the systems on top
+ * own the dispatch engines and decide routing (which targets a record
  * goes to).
  */
 class PipelineTimer
 {
   public:
-    /** Lane index meaning "deliver to every lane". */
-    static constexpr unsigned kBroadcast = ~0u;
-
-    /** One delivery target of a multi-tenant record: the physical lane
-     *  that serializes it and the dispatch engine (tenant lifeguard
-     *  shard context) that consumes it. */
+    /** One delivery target of a record: the physical lane that
+     *  serializes it and the dispatch engine (lifeguard shard context)
+     *  that consumes it. */
     struct Target
     {
         unsigned lane = 0;
@@ -273,28 +263,16 @@ class PipelineTimer
         Cycles lag, Cycles cost, double bytes)>;
 
     /**
-     * Intrinsic-dispatch mode: one lifeguard per lane, as used by the
-     * serial and parallel systems.
-     *
-     * @param hierarchy   Shared cache hierarchy; needs a core for the
-     *                    application plus one per lane.
-     * @param config      Platform configuration (see LbaConfig).
-     * @param lifeguards  One lifeguard per lane (not owned; must outlive
-     *                    the timer).
-     * @param lane_limits Optional per-lane overrides (empty = uniform).
+     * @param hierarchy Shared cache hierarchy; needs a core for the
+     *                  application plus one per lane.
+     * @param config    Platform configuration (see LbaConfig); every
+     *                  lane has its buffer capacity and transport
+     *                  bandwidth.
+     * @param nlanes    Lifeguard lanes (>= 1); lane L consumes on core
+     *                  config.dispatch.core + L.
      */
     PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-                  const std::vector<lifeguard::Lifeguard*>& lifeguards,
-                  const std::vector<LaneLimits>& lane_limits = {});
-
-    /**
-     * External-dispatch mode (multi-tenant pools): @p nlanes lanes with
-     * no intrinsic lifeguard; every log() call must carry the dispatch
-     * engine consuming on the target lane.
-     */
-    PipelineTimer(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
-                  unsigned nlanes,
-                  const std::vector<LaneLimits>& lane_limits = {});
+                  unsigned nlanes);
 
     /**
      * Register one more producer (monitored application) with its own
@@ -318,17 +296,9 @@ class PipelineTimer
     }
 
     /**
-     * Deliver one record to @p lane (or every lane with kBroadcast):
+     * Deliver one record of @p producer to each target in order:
      * filtering, compression accounting, back-pressure, transport and
-     * dispatch timing. Intrinsic-dispatch mode only.
-     * @return False when the filter dropped the record.
-     */
-    bool log(const log::EventRecord& record, unsigned lane)
-        LBA_COORDINATOR_ONLY;
-
-    /**
-     * Deliver one record of @p producer to each target in order
-     * (external-dispatch mode). All target slots are reserved before any
+     * dispatch timing. All target slots are reserved before any
      * consumption, so produce(i) reflects the slowest target lane; a
      * lane may appear more than once when several lifeguard shards fold
      * onto it.
@@ -369,10 +339,12 @@ class PipelineTimer
      * pool at slice boundaries so scheduling sees up-to-date lag.
      */
     void
-    sync() LBA_COORDINATOR_ONLY
+    sync() const LBA_COORDINATOR_ONLY
     {
         assertCoordinator();
-        flushPending();
+        // Catching up lazily-deferred state does not change observable
+        // results, so const accessors may sync too.
+        const_cast<PipelineTimer*>(this)->flushPending();
     }
 
     /** The shared cache hierarchy (rewind cost modelling). */
@@ -382,16 +354,8 @@ class PipelineTimer
     unsigned producerCore(unsigned producer) const;
 
     /**
-     * Complete an intrinsic-dispatch run: run each lane's end-of-program
-     * hook after the application has exited and the lane has drained,
-     * charge it to that lane, and seal the aggregate stats. Call exactly
-     * once.
-     */
-    void finishAll() LBA_COORDINATOR_ONLY;
-
-    /**
-     * External-dispatch end-of-program hook: run @p engine's finish pass
-     * once @p producer's application has exited and @p lane has drained;
+     * End-of-program hook: run @p engine's finish pass once
+     * @p producer's application has exited and @p lane has drained;
      * the cost lands on that lane's clock.
      * @return The lane's new last-finish time.
      */
@@ -401,18 +365,17 @@ class PipelineTimer
 
     /**
      * Seal the aggregate and per-producer statistics after every
-     * finishShard() call. finishAll() = per-lane finishShard + seal().
-     * Call exactly once.
+     * finishShard() call. Call exactly once.
      */
     void seal() LBA_COORDINATOR_ONLY;
 
-    /** Aggregate statistics (totals valid after finishAll()/seal()).
+    /** Aggregate statistics (totals valid after seal()).
      *  Flushes deferred dispatch first, hence coordinator-only (as is
      *  every accessor below that syncs). */
     const LbaRunStats&
     stats() const LBA_COORDINATOR_ONLY
     {
-        syncConst();
+        sync();
         return stats_;
     }
 
@@ -439,13 +402,6 @@ class PipelineTimer
     {
         consume_observer_ = std::move(observer);
     }
-
-    /** Quiescent-read snapshot (by value: the underlying counters live
-     *  in side-owned structs; see DispatchStats). */
-    lifeguard::DispatchStats dispatchStats(unsigned lane) const
-        LBA_COORDINATOR_ONLY;
-    lifeguard::Lifeguard& lifeguard(unsigned lane) const
-        LBA_COORDINATOR_ONLY;
 
     /** Lane clock: finish time of the lane's last consumed record. */
     Cycles laneLastFinish(unsigned lane) const LBA_COORDINATOR_ONLY;
@@ -514,8 +470,6 @@ class PipelineTimer
 
     struct Lane
     {
-        lifeguard::Lifeguard* lifeguard = nullptr;
-        std::unique_ptr<lifeguard::DispatchEngine> dispatch;
         /** The lane's log buffer: occupancy is slots.size() +
          *  pending, never above slots.capacity(). */
         FinishRing slots;
@@ -523,8 +477,6 @@ class PipelineTimer
         Cycles last_finish = 0;
         /** Cycle at which the lane transport delivers its last byte. */
         double transport_free = 0.0;
-        /** This lane's transport bandwidth (0 = unlimited). */
-        double bytes_per_cycle = 0.0;
         /** Cycles this lane's core spent consuming and finishing. */
         Cycles busy_cycles = 0;
         stats::Summary consume_lag;
@@ -554,14 +506,6 @@ class PipelineTimer
         stats::Summary consume_lag;
         LbaRunStats stats;
     };
-
-    /** Shared lane construction for both constructor modes (the
-     *  constructing thread is the coordinator by definition; the
-     *  constructors assume the role before calling in). */
-    void buildLanes(unsigned nlanes,
-                    const std::vector<lifeguard::Lifeguard*>& lifeguards,
-                    const std::vector<LaneLimits>& lane_limits)
-        LBA_COORDINATOR_ONLY;
 
     /** True when the filter drops this record. */
     bool filtered(const log::EventRecord& record) const;
@@ -627,26 +571,10 @@ class PipelineTimer
                    "PipelineTimer used off the coordinating thread");
     }
 
-    /** flushPending() from a const accessor: catching up lazily-
-     *  deferred state does not change observable results. */
-    void
-    syncConst() const LBA_COORDINATOR_ONLY
-    {
-        const_cast<PipelineTimer*>(this)->flushPending();
-    }
-
-    /** Shared filtering + compression prologue of both log() variants. */
-    bool admitRecord(Producer& producer, const log::EventRecord& record,
-                     double* record_bytes) LBA_COORDINATOR_ONLY;
-
     mem::CacheHierarchy& hierarchy_;
     LbaConfig config_;
     std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
-
-    /** Scratch: per-lane slot demand of one multi-target record. */
-    std::vector<std::pair<unsigned, std::size_t>> lane_demand_
-        LBA_GUARDED_BY(::lba::threading::coordinator_role);
 
     /** Deferred batched dispatch: records awaiting consumption, in
      *  arrival order (contiguous so engine runs batch directly). */

@@ -63,14 +63,6 @@ ThreadedExecutor::stopAndJoin()
 }
 
 void
-ThreadedExecutor::bind(lifeguard::DispatchEngine* engine, unsigned hint)
-{
-    LBA_ASSERT(engine != nullptr, "cannot bind a null engine");
-    binding_.emplace(&engine->lifeguard(),
-                     hint % static_cast<unsigned>(workers_.size()));
-}
-
-void
 ThreadedExecutor::enqueue(lifeguard::DispatchEngine* engine,
                           unsigned hint, const log::EventRecord* records,
                           std::size_t count,

@@ -74,11 +74,6 @@ class ThreadedExecutor
     ThreadedExecutor(const ThreadedExecutor&) = delete;
     ThreadedExecutor& operator=(const ThreadedExecutor&) = delete;
 
-    /** Pin @p engine's lifeguard to worker `hint % workers()` now,
-     *  before any record flows (lane engines at construction). */
-    void bind(lifeguard::DispatchEngine* engine, unsigned hint)
-        LBA_COORDINATOR_ONLY;
-
     /**
      * Stage one batch for the next round on @p engine's worker
      * (pinning it with @p hint on first sight). @p records and @p out

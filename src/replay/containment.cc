@@ -85,8 +85,6 @@ ContainmentManager::ContainmentManager(
         LBA_ASSERT(watched_[g] != nullptr, "watched lifeguard is null");
         seen_[g] = watched_[g]->findings().size();
     }
-    stats_.rewind_distance = stats::Histogram(
-        config_.rewind_hist_buckets, config_.rewind_hist_bucket_width);
 }
 
 bool

@@ -93,10 +93,11 @@ struct ContainmentConfig
     std::uint64_t checkpoint_interval = 0;
     /** Fixed pipeline-flush cost charged per rewind. */
     Cycles rewind_flush_cycles = 20;
-    /** Rewind-distance histogram geometry (instructions per bucket). */
-    std::size_t rewind_hist_buckets = 64;
-    std::uint64_t rewind_hist_bucket_width = 16;
 };
+
+/** Rewind-distance histogram geometry: 64 buckets of 16 instructions. */
+inline constexpr std::size_t kRewindHistBuckets = 64;
+inline constexpr std::uint64_t kRewindHistBucketWidth = 16;
 
 /** How each handled finding was repaired. */
 struct RepairOutcomes
@@ -136,7 +137,8 @@ struct ContainmentStats
     RepairOutcomes repairs;
 
     /** Distribution of rewind distances, in instructions. */
-    stats::Histogram rewind_distance{64, 16};
+    stats::Histogram rewind_distance{kRewindHistBuckets,
+                                     kRewindHistBucketWidth};
 };
 
 /**

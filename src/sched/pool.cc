@@ -14,7 +14,17 @@
 namespace lba::sched {
 
 using log::EventRecord;
-using log::EventType;
+
+namespace {
+
+/** Consume-lag histogram geometry (per tenant): 512 x 256 covers lags
+ *  up to 128k cycles; beyond that the percentile estimates saturate at
+ *  the last edge (an oversubscribed pool's backlog — and therefore its
+ *  lag — grows without bound, so *some* ceiling always exists). */
+constexpr std::size_t kLagHistBuckets = 512;
+constexpr std::uint64_t kLagHistBucketWidth = 256;
+
+} // namespace
 
 /** One tenant's full runtime state. */
 struct LifeguardPool::Tenant
@@ -60,10 +70,10 @@ struct LifeguardPool::Tenant
 
     sim::RunResult run_result;
 
-    Tenant(TenantConfig cfg, unsigned idx, const PoolConfig& pool)
+    Tenant(TenantConfig cfg, unsigned idx)
         : config(std::move(cfg)),
           index(idx),
-          lag_hist(pool.lag_hist_buckets, pool.lag_hist_bucket_width)
+          lag_hist(kLagHistBuckets, kLagHistBucketWidth)
     {
     }
 };
@@ -73,27 +83,16 @@ LifeguardPool::LifeguardPool(const PoolConfig& config,
     : config_(config), factory_(std::move(factory))
 {
     LBA_ASSERT(config_.lanes >= 1, "pool needs at least one lane");
-    LBA_ASSERT(config_.max_load > 0.0, "max_load must be positive");
     LBA_ASSERT(factory_ != nullptr, "pool needs a lifeguard factory");
     scheduler_ = makeScheduler(config_.policy, config_.lanes);
 
-    // Pool drain bandwidth: the sum of the lanes' transport links. Any
-    // unlimited lane makes the pool bandwidth unlimited (capacity 0).
-    bool unlimited = false;
-    double capacity = 0.0;
-    for (unsigned lane = 0; lane < config_.lanes; ++lane) {
-        double bw = config_.lba.transport_bytes_per_cycle;
-        if (lane < config_.lane_limits.size() &&
-            config_.lane_limits[lane].transport_bytes_per_cycle >= 0.0) {
-            bw = config_.lane_limits[lane].transport_bytes_per_cycle;
+    // Pool drain bandwidth: the sum of the lanes' transport links
+    // (0 = unlimited lanes, so an unlimited pool).
+    if (config_.lba.transport_bytes_per_cycle > 0.0) {
+        for (unsigned lane = 0; lane < config_.lanes; ++lane) {
+            capacity_ += config_.lba.transport_bytes_per_cycle;
         }
-        if (bw <= 0.0) {
-            unlimited = true;
-            break;
-        }
-        capacity += bw;
     }
-    capacity_ = unlimited ? 0.0 : capacity;
 }
 
 LifeguardPool::~LifeguardPool() = default;
@@ -105,7 +104,7 @@ LifeguardPool::addTenant(TenantConfig tenant)
     LBA_ASSERT(!tenant.program.empty(), "tenant needs a program");
     unsigned index = static_cast<unsigned>(tenants_.size());
     auto state =
-        std::make_unique<Tenant>(std::move(tenant), index, config_);
+        std::make_unique<Tenant>(std::move(tenant), index);
     state->demand = state->config.demand_bytes_per_cycle;
     if (state->demand <= 0.0) {
         // LBA logs about one record per retired instruction at IPC <= 1:
@@ -127,7 +126,7 @@ LifeguardPool::fits(const Tenant& tenant) const
     // alone degrades through back-pressure rather than starving).
     if (active_.empty()) return true;
     if (capacity_ <= 0.0) return true;
-    return load_ + tenant.demand <= capacity_ * config_.max_load;
+    return load_ + tenant.demand <= capacity_;
 }
 
 void
@@ -139,37 +138,16 @@ LifeguardPool::activate(unsigned tenant)
     load_ += t.demand;
 }
 
-unsigned
-LifeguardPool::routeShard(Tenant& tenant, const EventRecord& record)
-{
-    // Mirrors ParallelLbaSystem::route over the pool's lane count so a
-    // lone tenant's functional sharding (and therefore its timing) is
-    // identical to the parallel system's.
-    switch (record.type) {
-      case EventType::kLoad:
-      case EventType::kStore:
-        return static_cast<unsigned>((record.addr >> 6) % config_.lanes);
-      case EventType::kAlloc:
-      case EventType::kFree:
-      case EventType::kInput:
-      case EventType::kOutput:
-      case EventType::kLock:
-      case EventType::kUnlock:
-      case EventType::kThreadSpawn:
-      case EventType::kThreadExit:
-        return core::PipelineTimer::kBroadcast;
-      default:
-        return static_cast<unsigned>(tenant.round_robin++ %
-                                     config_.lanes);
-    }
-}
-
 void
 LifeguardPool::deliver(Tenant& tenant, const EventRecord& record)
 {
-    unsigned shard = routeShard(tenant, record);
+    // The parallel system's routing over the pool's lane count, so a
+    // lone tenant's functional sharding (and therefore its timing) is
+    // identical to ParallelLbaSystem's.
+    unsigned shard =
+        core::routeShard(record, config_.lanes, &tenant.round_robin);
     targets_.clear();
-    if (shard == core::PipelineTimer::kBroadcast) {
+    if (shard == core::kBroadcast) {
         for (unsigned s = 0; s < config_.lanes; ++s) {
             targets_.push_back({scheduler_->laneFor(tenant.index, s),
                                 tenant.engines[s].get()});
@@ -267,8 +245,8 @@ LifeguardPool::run()
     unsigned needed = lba.dispatch.core + config_.lanes;
     if (hc.num_cores < needed) hc.num_cores = needed;
     hierarchy_ = std::make_unique<mem::CacheHierarchy>(hc);
-    timer_ = std::make_unique<core::PipelineTimer>(
-        *hierarchy_, lba, config_.lanes, config_.lane_limits);
+    timer_ = std::make_unique<core::PipelineTimer>(*hierarchy_, lba,
+                                                   config_.lanes);
     for (unsigned t = 1; t < ntenants; ++t) {
         unsigned producer = timer_->addProducer(t);
         LBA_ASSERT(producer == t, "producer/tenant index drift");

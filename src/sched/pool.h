@@ -12,10 +12,10 @@
  *  - Each tenant is a sim::Process plus its own log stream (producer):
  *    its own application-core clock, compressor, back-pressure and
  *    syscall-containment state.
- *  - Each tenant's log is address-hash sharded over `lanes` lifeguard
- *    shard contexts exactly like ParallelLbaSystem (annotations
- *    broadcast, instruction records round-robin), so per-address
- *    lifeguards keep their semantics.
+ *  - Each tenant's log is sharded over `lanes` lifeguard shard
+ *    contexts by core::routeShard, the parallel system's router
+ *    (address hash; annotations broadcast, instruction records
+ *    round-robin), so per-address lifeguards keep their semantics.
  *  - A TenantScheduler maps shard contexts to physical lanes. Lanes
  *    serialize whatever is folded onto them, which is how one tenant's
  *    burst degrades (only) whoever shares its lanes.
@@ -100,8 +100,6 @@ struct PoolConfig
      *  simulated cycle — is identical to serial execution
      *  (tests/threaded_test.cpp asserts the pool differential). */
     core::LbaConfig lba;
-    /** Optional per-lane overrides (empty = uniform lanes). */
-    std::vector<core::LaneLimits> lane_limits;
     mem::HierarchyConfig hierarchy;
     /** Number of shared lifeguard lanes (cores). */
     unsigned lanes = 2;
@@ -110,15 +108,6 @@ struct PoolConfig
      *  runs unsliced. */
     std::uint64_t slice_instructions = 20'000;
     AdmissionMode admission = AdmissionMode::kQueue;
-    /** Admissible fraction of the pool drain bandwidth. */
-    double max_load = 1.0;
-    /** Consume-lag histogram geometry (per tenant): 512 x 256 covers
-     *  lags up to 128k cycles; beyond that the percentile estimates
-     *  saturate at the last edge (an oversubscribed pool's backlog —
-     *  and therefore its lag — grows without bound, so *some* ceiling
-     *  always exists; widen these for long contended runs). */
-    std::size_t lag_hist_buckets = 512;
-    std::uint64_t lag_hist_bucket_width = 256;
     /**
      * Per-tenant rewind-and-repair containment. A finding raised by one
      * tenant's lifeguard shards drains, rewinds and repairs only that
@@ -240,9 +229,6 @@ class LifeguardPool : public sim::RetireObserver
 
     /** Admit @p tenant: activate it and rebalance the lane map. */
     void activate(unsigned tenant);
-
-    /** Functional shard for a record (mirrors ParallelLbaSystem). */
-    unsigned routeShard(Tenant& tenant, const log::EventRecord& record);
 
     /** Deliver one record of the current tenant through the engine. */
     void deliver(Tenant& tenant, const log::EventRecord& record)

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -66,6 +68,65 @@ class FixedCostLifeguard : public lifeguard::Lifeguard
     std::uint32_t finish_instrs_;
 };
 
+/**
+ * A timer plus one dispatch engine per lifeguard, engine L consuming on
+ * lane L (core dispatch.core + L): the layout the serial and parallel
+ * systems build, with their one-target and broadcast deliveries.
+ */
+struct Rig
+{
+    std::vector<std::unique_ptr<lifeguard::DispatchEngine>> engines;
+    /** Declared after the engines, so its workers are joined first. */
+    PipelineTimer timer;
+
+    Rig(mem::CacheHierarchy& hierarchy, const LbaConfig& config,
+        std::initializer_list<lifeguard::Lifeguard*> guards)
+        : timer(hierarchy, config, static_cast<unsigned>(guards.size()))
+    {
+        for (lifeguard::Lifeguard* guard : guards) {
+            lifeguard::DispatchConfig dc = config.dispatch;
+            dc.core += static_cast<unsigned>(engines.size());
+            engines.push_back(std::make_unique<lifeguard::DispatchEngine>(
+                *guard, hierarchy, dc));
+        }
+    }
+
+    /** Deliver @p record to @p lane's engine alone. */
+    bool
+    log(const log::EventRecord& record, unsigned lane)
+    {
+        return timer.log(0, record, {{lane, engines.at(lane).get()}});
+    }
+
+    /** Deliver @p record to every lane. */
+    void
+    broadcast(const log::EventRecord& record)
+    {
+        std::vector<PipelineTimer::Target> everyone;
+        for (unsigned lane = 0; lane < engines.size(); ++lane) {
+            everyone.push_back({lane, engines[lane].get()});
+        }
+        timer.log(0, record, everyone);
+    }
+
+    /** finishShard() on every lane, then seal(). */
+    void
+    finish()
+    {
+        for (unsigned lane = 0; lane < engines.size(); ++lane) {
+            timer.finishShard(0, lane, *engines[lane]);
+        }
+        timer.seal();
+    }
+
+    lifeguard::DispatchStats
+    dispatchStats(unsigned lane)
+    {
+        timer.sync();
+        return engines.at(lane)->stats();
+    }
+};
+
 mem::HierarchyConfig
 cores(unsigned n)
 {
@@ -105,16 +166,17 @@ TEST(PipelineTimer, FractionalTransportDeliversOnCeiling)
     config.raw_record_bytes = 3;
     config.transport_bytes_per_cycle = 2.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
+    PipelineTimer& timer = rig.timer;
 
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
+    rig.log(aluRecord(), 0);
+    rig.log(aluRecord(), 0);
 
     // Waits: (2 - 0) + (3 - 0) = 5. Truncation would report 1 + 3 = 4.
     EXPECT_EQ(timer.stats().transport_wait_cycles, 5u);
     EXPECT_EQ(timer.stats().transport_bytes, 6.0);
     // start(1) = 2, start(2) = max(3, finish(1)=3) = 3.
-    timer.finishAll();
+    rig.finish();
     EXPECT_EQ(timer.stats().total_cycles, 4u);
     EXPECT_DOUBLE_EQ(timer.stats().mean_consume_lag, 2.5);
 }
@@ -127,7 +189,8 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     LbaConfig config;
     config.syscall_stall = true;
     FixedCostLifeguard guard(4); // consume cost = 1 dispatch + 4
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
+    PipelineTimer& timer = rig.timer;
 
     sim::Retired retired;
     retired.pc = 0x1000;
@@ -135,9 +198,9 @@ TEST(PipelineTimer, ContainmentDrainCoversSyscallAnnotations)
     Cycles app_before = timer.stats().app_cycles;
 
     // Syscall record, then its annotation, both produced at app_before.
-    timer.log(aluRecord(), 0);
+    rig.log(aluRecord(), 0);
     timer.noteSyscall();
-    timer.log(allocRecord(0x10000000, 64), 0);
+    rig.log(allocRecord(0x10000000, 64), 0);
     // finish(syscall) = app_before + 5; finish(alloc) = app_before + 10.
 
     retired.pc = 0x1008;
@@ -160,11 +223,12 @@ TEST(PipelineTimer, FinishCostLandsOnEachLane)
     LbaConfig config;
     FixedCostLifeguard cheap_finish(0, 3);
     FixedCostLifeguard dear_finish(0, 10);
-    PipelineTimer timer(hierarchy, config, {&cheap_finish, &dear_finish});
+    Rig rig(hierarchy, config, {&cheap_finish, &dear_finish});
+    PipelineTimer& timer = rig.timer;
 
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
-    timer.finishAll();
+    rig.log(aluRecord(), 0);
+    rig.log(aluRecord(), 0);
+    rig.finish();
 
     EXPECT_EQ(timer.stats().total_cycles, 10u);
     EXPECT_EQ(timer.laneLastFinish(0), 5u);
@@ -181,13 +245,14 @@ TEST(PipelineTimer, PerLaneBackpressureAndBufferStats)
     LbaConfig config;
     config.buffer_capacity = 2;
     FixedCostLifeguard guard(10); // consume cost = 11
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
+    PipelineTimer& timer = rig.timer;
 
-    timer.log(aluRecord(), 0); // finish = 11
-    timer.log(aluRecord(), 0); // finish = 22
+    rig.log(aluRecord(), 0); // finish = 11
+    rig.log(aluRecord(), 0); // finish = 22
     // Third record: both slots taken; the app stalls until the first
     // record finishes at 11.
-    timer.log(aluRecord(), 0);
+    rig.log(aluRecord(), 0);
     EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
 
     EXPECT_EQ(timer.laneRecords(0), 3u);
@@ -224,10 +289,11 @@ runWrapAround(DispatchTier tier)
         // times. Every fourth record the app clock first advances by
         // 20 cycles (charged as containment work), so some records
         // find their slot already free and others stall.
-        PipelineTimer timer(hierarchy, config, {&guard});
+        Rig rig(hierarchy, config, {&guard});
+        PipelineTimer& timer = rig.timer;
         for (int i = 0; i < 12; ++i) {
             if (i > 0 && i % 4 == 0) timer.chargeContainment(0, 20);
-            timer.log(aluRecord(), 0);
+            rig.log(aluRecord(), 0);
             seen.app_after_log.push_back(timer.producerTime(0));
         }
         seen.stall = timer.stats().backpressure_stall_cycles;
@@ -305,7 +371,8 @@ runSyscallSqueeze(DispatchTier tier)
     config.dispatch_tier = tier;
     config.buffer_capacity = 4;
     FixedCostLifeguard guard(10); // consume cost = 11
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
+    PipelineTimer& timer = rig.timer;
     // Six retirements, each a syscall that logs its own record plus
     // three annotations: after the first, every record of a retirement
     // finds the four-slot ring full of consumed records.
@@ -315,19 +382,18 @@ runSyscallSqueeze(DispatchTier tier)
         timer.retire(retired);
         log::EventRecord syscall = aluRecord(retired.pc);
         syscall.type = log::EventType::kSyscall;
-        timer.log(syscall, 0);
+        rig.log(syscall, 0);
         for (int a = 0; a < 3; ++a) {
-            timer.log(allocRecord(0x10000000 + 64 * static_cast<Addr>(a),
-                                  64),
-                      0);
+            rig.log(allocRecord(0x10000000 + 64 * static_cast<Addr>(a), 64),
+                    0);
         }
     }
-    timer.finishAll();
+    rig.finish();
     SqueezeObservation seen;
     seen.stall = timer.stats().backpressure_stall_cycles;
     seen.max_occupancy = timer.laneMaxOccupancy(0);
     seen.last_finish = timer.laneLastFinish(0);
-    lifeguard::DispatchStats dispatch = timer.dispatchStats(0);
+    lifeguard::DispatchStats dispatch = rig.dispatchStats(0);
     seen.records = dispatch.records;
     seen.batches = dispatch.batches;
     return seen;
@@ -364,9 +430,10 @@ TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
     FixedCostLifeguard a(2), b(7);
-    PipelineTimer timer(hierarchy, config, {&a, &b});
+    Rig rig(hierarchy, config, {&a, &b});
+    PipelineTimer& timer = rig.timer;
 
-    timer.log(allocRecord(0x10000000, 64), PipelineTimer::kBroadcast);
+    rig.broadcast(allocRecord(0x10000000, 64));
     // One logical record, one slot (and one consumption) per lane.
     EXPECT_EQ(timer.stats().records_logged, 1u);
     EXPECT_EQ(timer.laneRecords(0), 1u);
@@ -387,12 +454,13 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     config.raw_record_bytes = 8;
     config.transport_bytes_per_cycle = 1.0;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
+    PipelineTimer& timer = rig.timer;
 
     log::EventRecord out_of_range;
     out_of_range.type = log::EventType::kLoad;
     out_of_range.addr = 0x2000; // below the filter window
-    EXPECT_FALSE(timer.log(out_of_range, 0));
+    EXPECT_FALSE(rig.log(out_of_range, 0));
     EXPECT_EQ(timer.stats().records_filtered, 1u);
     EXPECT_EQ(timer.stats().records_logged, 0u);
     EXPECT_EQ(timer.stats().transport_bytes, 0.0);
@@ -401,71 +469,15 @@ TEST(PipelineTimer, FilterDropsBeforeAnyAccounting)
     log::EventRecord in_range;
     in_range.type = log::EventType::kLoad;
     in_range.addr = 0x10000010;
-    EXPECT_TRUE(timer.log(in_range, 0));
+    EXPECT_TRUE(rig.log(in_range, 0));
     EXPECT_EQ(timer.stats().records_logged, 1u);
     EXPECT_EQ(timer.stats().transport_bytes, 8.0);
-}
-
-TEST(PipelineTimer, MixedLaneTransportBandwidths)
-{
-    // Heterogeneous pool: lane 0 drains 2 B/cycle, lane 1 only 1
-    // B/cycle, in one timer. 4-byte raw records: lane 0 delivers at
-    // t=2 (wait 2), lane 1 at t=4 (wait 4).
-    mem::CacheHierarchy hierarchy(cores(3));
-    LbaConfig config;
-    config.compress = false;
-    config.raw_record_bytes = 4;
-    config.transport_bytes_per_cycle = 9.0; // overridden per lane
-    FixedCostLifeguard a(0), b(0);
-    std::vector<LaneLimits> limits(2);
-    limits[0].transport_bytes_per_cycle = 2.0;
-    limits[1].transport_bytes_per_cycle = 1.0;
-    PipelineTimer timer(hierarchy, config, {&a, &b}, limits);
-
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 1);
-
-    EXPECT_EQ(timer.laneTransportWaitCycles(0), 2u);
-    EXPECT_EQ(timer.laneTransportWaitCycles(1), 4u);
-    EXPECT_EQ(timer.stats().transport_wait_cycles, 6u);
-    // start = deliver, so per-lane lag equals the transport wait.
-    EXPECT_DOUBLE_EQ(timer.laneMeanConsumeLag(0), 2.0);
-    EXPECT_DOUBLE_EQ(timer.laneMeanConsumeLag(1), 4.0);
-}
-
-TEST(PipelineTimer, MixedLaneBufferCapacities)
-{
-    // Lane 0 holds a single record while lane 1 inherits the
-    // config-wide capacity of 2: only the small lane back-pressures.
-    mem::CacheHierarchy hierarchy(cores(3));
-    LbaConfig config;
-    config.buffer_capacity = 2;
-    FixedCostLifeguard a(10), b(10); // consume cost = 11
-    std::vector<LaneLimits> limits(2);
-    limits[0].buffer_capacity = 1;
-    PipelineTimer timer(hierarchy, config, {&a, &b}, limits);
-
-    // Lane 1 first: two records fit without stalling.
-    timer.log(aluRecord(), 1);
-    timer.log(aluRecord(), 1);
-    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 0u);
-
-    // Lane 0: the second record must wait for the first to finish at
-    // cycle 11 before its slot frees.
-    timer.log(aluRecord(), 0);
-    timer.log(aluRecord(), 0);
-    EXPECT_EQ(timer.stats().backpressure_stall_cycles, 11u);
-    EXPECT_EQ(timer.laneMaxOccupancy(0), 1u);
-    EXPECT_EQ(timer.laneMaxOccupancy(1), 2u);
-    // The stalled producer's clock moved to 11, so lane 0's second
-    // record starts there and finishes at 22.
-    EXPECT_EQ(timer.laneLastFinish(0), 22u);
 }
 
 TEST(PipelineTimer, MultiProducerSharedLaneSerializes)
 {
     // Two producers (apps on cores 0 and 2) share one lane (core 1)
-    // through the external-dispatch API: the lane serializes their
+    // through log()'s explicit targets: the lane serializes their
     // records, each producer keeps its own clock, lag and busy slice.
     mem::CacheHierarchy hierarchy(cores(3));
     LbaConfig config;
@@ -568,10 +580,10 @@ TEST_F(PipelineTimerDeathTest, OffCoordinatorRetireTraps)
     LbaConfig config;
     config.execution = ExecutionMode::kThreaded;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
+    Rig rig(hierarchy, config, {&guard});
     sim::Retired retired;
     retired.pc = 0x1000;
-    EXPECT_DEATH(std::thread([&] { timer.retire(0, retired); }).join(),
+    EXPECT_DEATH(std::thread([&] { rig.timer.retire(0, retired); }).join(),
                  "off the coordinating thread");
 }
 
@@ -581,8 +593,8 @@ TEST_F(PipelineTimerDeathTest, OffCoordinatorLogTraps)
     LbaConfig config;
     config.execution = ExecutionMode::kThreaded;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
-    EXPECT_DEATH(std::thread([&] { timer.log(aluRecord(), 0); }).join(),
+    Rig rig(hierarchy, config, {&guard});
+    EXPECT_DEATH(std::thread([&] { rig.log(aluRecord(), 0); }).join(),
                  "off the coordinating thread");
 }
 
@@ -592,8 +604,8 @@ TEST_F(PipelineTimerDeathTest, OffCoordinatorSyncTraps)
     LbaConfig config;
     config.execution = ExecutionMode::kThreaded;
     FixedCostLifeguard guard(0);
-    PipelineTimer timer(hierarchy, config, {&guard});
-    EXPECT_DEATH(std::thread([&] { timer.sync(); }).join(),
+    Rig rig(hierarchy, config, {&guard});
+    EXPECT_DEATH(std::thread([&] { rig.timer.sync(); }).join(),
                  "off the coordinating thread");
 }
 

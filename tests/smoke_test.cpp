@@ -276,6 +276,32 @@ TEST_F(SmokeTest, LbaTraceMissingArgumentsAreUsageErrors)
     EXPECT_EQ(runCommand(base + " codecs >/dev/null 2>&1"), 2);
 }
 
+TEST_F(SmokeTest, LbaRunRejectsZeroInstructions)
+{
+    // 0 used to fall through to the workload generator's own default
+    // length: a usage error instead, in both spellings.
+    for (const char* spelling : {" --instrs 0", " --instrs=0"}) {
+        std::string cmd = std::string(LBA_RUN_PATH) +
+                          " gzip addrcheck --platform lba" + spelling +
+                          " >/dev/null 2>&1";
+        EXPECT_EQ(runCommand(cmd), 2) << "spelling: " << spelling;
+    }
+}
+
+TEST_F(SmokeTest, LbaTraceGenRejectsZeroCount)
+{
+    // 0 used to mean the default 250000 instructions: a usage error
+    // now, rejected before the output file is created.
+    std::string trace = ::testing::TempDir() + "smoke_zero.lbat";
+    std::remove(trace.c_str());
+    EXPECT_EQ(runCommand(std::string(LBA_TRACE_PATH) + " gen gzip " +
+                         trace + " 0 >/dev/null 2>&1"),
+              2);
+    std::FILE* file = std::fopen(trace.c_str(), "rb");
+    EXPECT_EQ(file, nullptr) << "gen 0 wrote " << trace;
+    if (file) std::fclose(file);
+}
+
 TEST_F(SmokeTest, LbaTraceGenInfoDumpRoundTrip)
 {
     std::string trace = ::testing::TempDir() + "smoke_test.lbat";

@@ -182,8 +182,8 @@ TEST(ThreadedExecution, ParallelShards124)
 
 TEST(ThreadedExecution, OneTenantPool)
 {
-    // External-dispatch mode: the pool's tenant shard engines pin to
-    // workers lazily, at the first flush that carries them.
+    // The pool's tenant shard engines pin to workers lazily, at the
+    // first flush that carries them (as every platform's engines do).
     auto gen = makeProgram("gzip", 40000);
     sched::PoolConfig config;
     config.lanes = 2;

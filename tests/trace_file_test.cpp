@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 
@@ -331,6 +336,48 @@ TEST(TraceFile, GarbagePayloadYieldsTypedError)
     DecodeError error;
     EXPECT_FALSE(readTrace(file.path(), &error).has_value());
     EXPECT_NE(error.kind, DecodeErrorKind::kNone);
+}
+
+TEST(TraceFile, ReadTraceStreamsThePayload)
+{
+    // A 16 MiB all-zero payload, rejected at record 0. readTrace must
+    // not hold the whole payload (let alone twice: its own buffer plus
+    // the decoder's copy) to find that out. A forked child measures
+    // its own peak-RSS growth across the read — its high-water mark
+    // starts near its RSS at fork — and exits with that growth in MiB
+    // (255 when the read unexpectedly succeeds).
+    constexpr std::uint64_t kPayloadBytes = 16ull << 20;
+    TempFile file("zeros.lbat");
+    {
+        std::ofstream out(file.path(), std::ios::binary | std::ios::trunc);
+        std::string header =
+            v2Header(kPayloadBytes, kPayloadBytes, "predictor");
+        out.write(header.data(),
+                  static_cast<std::streamsize>(header.size()));
+        std::string zeros(1 << 20, '\0');
+        for (std::uint64_t i = 0; i < kPayloadBytes >> 20; ++i) {
+            out.write(zeros.data(),
+                      static_cast<std::streamsize>(zeros.size()));
+        }
+    }
+    pid_t child = fork();
+    ASSERT_NE(child, -1);
+    if (child == 0) {
+        rusage before{};
+        getrusage(RUSAGE_SELF, &before);
+        bool read = readTrace(file.path()).has_value();
+        rusage after{};
+        getrusage(RUSAGE_SELF, &after);
+        long growth_mib = (after.ru_maxrss - before.ru_maxrss) / 1024;
+        _exit(read ? 255 : static_cast<int>(std::min(254L, growth_mib)));
+    }
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_NE(WEXITSTATUS(status), 255) << "the zero payload decoded";
+    // Two full copies would be 32 MiB; one 64 KiB chunk is ~0.
+    EXPECT_LT(WEXITSTATUS(status), 4) << "peak RSS grew by "
+                                      << WEXITSTATUS(status) << " MiB";
 }
 
 TEST(TraceFile, BenchmarkTraceRoundTrips)

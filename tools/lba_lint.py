@@ -393,7 +393,7 @@ def check_role_parity(repo, findings):
         )
 
     # Direction 1: a public LBA_COORDINATOR_ONLY method must prove the
-    # role at runtime (transitively -- e.g. via syncConst/flushPending).
+    # role at runtime (transitively -- e.g. via sync/flushPending).
     for name, (public, line) in sorted(annotated.items()):
         if not public:
             continue
@@ -419,8 +419,8 @@ def check_role_parity(repo, findings):
     # Direction 2: a method that asserts the role must also declare it.
     for name, direct in sorted(calls.items()):
         if name in ("assertCoordinator", "PipelineTimer"):
-            # The trap itself, and the constructors (which *assume* the
-            # role -- they define the coordinator, nothing to require).
+            # The trap itself, and the constructor (which *assumes* the
+            # role -- it defines the coordinator, nothing to require).
             continue
         if "assertCoordinator" in direct and name not in annotated:
             findings.append(

@@ -416,6 +416,10 @@ main(int argc, char** argv)
         bool ok = true;
         if (arg == "--instrs") {
             ok = parseNumber(value, &instrs);
+            if (ok && instrs == 0) {
+                std::fprintf(stderr, "--instrs must be at least 1\n");
+                ok = false;
+            }
         } else if (arg == "--platform") {
             platform = value;
             ok = platform == "lba" || platform == "dbi" ||

@@ -157,7 +157,11 @@ main(int argc, char** argv)
         if (args.size() == 4 && !parseNumber(args[3], &instrs)) {
             return usage();
         }
-        return cmdGen(args[1], args[2], instrs ? instrs : 250000);
+        if (instrs == 0) {
+            std::fprintf(stderr, "instruction count must be at least 1\n");
+            return usage();
+        }
+        return cmdGen(args[1], args[2], instrs);
     }
     if (cmd == "info" && args.size() == 2) return cmdInfo(args[1]);
     if (cmd == "dump" && (args.size() == 2 || args.size() == 3)) {
