@@ -5,8 +5,8 @@
  * batched handler table and fused compiled-IR loops.
  *
  * The simulated cost of a record is identical on every tier (the
- * cycle-identity invariant, tests/dispatch_batch_test.cpp and
- * tests/dispatch_fused_test.cpp); what this bench measures is how fast
+ * cycle-identity invariant, tests/dispatch_fused_test.cpp and
+ * tests/threaded_test.cpp); what this bench measures is how fast
  * the *host* pushes records through the dispatch engine — the hot loop
  * every experiment, tenant and ablation in this tree funnels through.
  * The batched tier drains contiguous kChunk-record slices of the

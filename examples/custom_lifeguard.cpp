@@ -124,20 +124,24 @@ main()
         return 1;
     }
 
-    // The same checker consuming each record the moment it is logged
-    // (per-record dispatch) must report the same findings in the same
-    // cycles (the cycle-identity invariant batching is built on).
-    core::LbaConfig per_record = experiment.config().lba;
-    per_record.dispatch_tier = core::DispatchTier::kPerRecord;
-    auto baseline = experiment.runLba(factory, per_record);
-    if (baseline.cycles != result.cycles ||
-        baseline.findings.size() != result.findings.size() ||
-        baseline.findings[0].pc != result.findings[0].pc) {
+    // The run above consumed each record the moment it was logged. The
+    // same checker on a worker thread, with records queued and drained
+    // in batches at flush barriers (threaded execution), must report
+    // the same findings in the same cycles (the cycle-identity
+    // invariant batching is built on).
+    core::LbaConfig threaded = experiment.config().lba;
+    threaded.dispatch_tier = core::DispatchTier::kBatched;
+    threaded.execution = core::ExecutionMode::kThreaded;
+    auto batched = experiment.runLba(factory, threaded);
+    if (batched.cycles != result.cycles ||
+        batched.findings.size() != result.findings.size() ||
+        batched.findings[0].pc != result.findings[0].pc) {
         std::fprintf(stderr,
-                     "batched and per-record dispatch disagree\n");
+                     "serial and threaded dispatch disagree\n");
         return 1;
     }
-    std::printf("per-record dispatch agrees: %llu cycles both ways\n",
+    std::printf("threaded batched dispatch agrees: %llu cycles both "
+                "ways\n",
                 static_cast<unsigned long long>(result.cycles));
     return 0;
 }

@@ -40,10 +40,6 @@ PipelineTimer::PipelineTimer(mem::CacheHierarchy& hierarchy,
     producers_.push_back(std::move(primary));
 
     if (config_.execution == ExecutionMode::kThreaded) {
-        LBA_ASSERT(config_.dispatch_tier != DispatchTier::kPerRecord,
-                   "threaded execution requires a batching dispatch "
-                   "tier (its flush boundaries are the cross-thread "
-                   "barriers)");
         coordinator_ = std::this_thread::get_id();
         // Engines pin to a worker lazily, at the first flush that
         // carries them (hint: the lane they first deliver on).
@@ -109,8 +105,8 @@ PipelineTimer::reserveSlots(Producer& producer, Lane& lane,
     // consumed records whose finish times the ring already holds, so no
     // flush is needed. Otherwise a queued-but-unconsumed record's
     // finish time matters: catch the whole queue up first (in arrival
-    // order, so the interleaving stays identical to the per-record
-    // path — these records were consumed before this point on that
+    // order, so the interleaving stays identical to consuming at log
+    // time — these records were consumed before this point on that
     // path too).
     if (lane.pending + needed > lane.slots.capacity()) flushPending();
     while (lane.slots.size() + lane.pending + needed >
@@ -134,7 +130,10 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
     lane.max_occupancy = std::max<std::uint64_t>(
         lane.max_occupancy, lane.slots.size() + lane.pending + 1);
 
-    if (config_.dispatch_tier != DispatchTier::kPerRecord) {
+    // Records queue only where a flush has work to do: threaded
+    // execution (the flush is the cross-thread barrier) and the fused
+    // tier (the flush drains same-type spans through the IR loops).
+    if (executor_ || config_.dispatch_tier == DispatchTier::kFused) {
         PendingMeta meta;
         meta.producer =
             static_cast<unsigned>(&producer - producers_.data());
@@ -148,9 +147,9 @@ PipelineTimer::consumeOn(Producer& producer, Lane& lane,
         return;
     }
 
-    // Per-record path: serial by construction (threaded execution
-    // requires batched dispatch), so the calling thread owns the
-    // engine's functional side as well as the coordinator role.
+    // Consume at log time: serial by construction (threaded execution
+    // queues), so the calling thread owns the engine's functional side
+    // as well as the coordinator role.
     engine.assumeFunctionalOwner();
     Cycles cost = engine.consume(record);
     applyRecordTiming(producer, lane, record, produced_at, record_bytes,
@@ -214,7 +213,7 @@ PipelineTimer::flushPending()
     // The consume observer runs inside phase 2 and may call back into
     // a syncing accessor (stats(), sync(), ...); re-entering the flush
     // would re-run every queued handler. The guard makes re-entry a
-    // no-op, like a stats read mid-consume on the per-record path.
+    // no-op, like a stats read mid-consume at log time.
     assertCoordinator();
     if (pending_meta_.empty() || flushing_) return;
     flushing_ = true;
@@ -227,12 +226,11 @@ PipelineTimer::flushPending()
         // in-line — cycle-identical by construction (see the header).
         runPendingThreaded(n);
     } else {
-        // Phase 1: handler execution, in arrival order — the same cache
-        // interleaving as per-record consumption — with maximal runs
-        // that share an engine drained through one consumeBatch (or
-        // consumeBatchFused, on the fused tier) call each (the whole
-        // queue, for single-lane systems).
-        const bool fused = config_.dispatch_tier == DispatchTier::kFused;
+        // Phase 1 (serial, so the fused tier): handler execution, in
+        // arrival order — the same cache interleaving as consuming at
+        // log time — with maximal runs that share an engine drained
+        // through one consumeBatchFused call each (the whole queue, for
+        // single-lane systems).
         std::size_t i = 0;
         while (i < n) {
             std::size_t j = i + 1;
@@ -244,13 +242,8 @@ PipelineTimer::flushPending()
             // so it owns each engine's functional side for the drain.
             lifeguard::DispatchEngine* engine = pending_meta_[i].engine;
             engine->assumeFunctionalOwner();
-            if (fused) {
-                engine->consumeBatchFused(pending_records_.data() + i,
-                                          j - i, pending_costs_.data() + i);
-            } else {
-                engine->consumeBatch(pending_records_.data() + i, j - i,
-                                     pending_costs_.data() + i);
-            }
+            engine->consumeBatchFused(pending_records_.data() + i, j - i,
+                                      pending_costs_.data() + i);
             i = j;
         }
     }
@@ -390,7 +383,7 @@ PipelineTimer::retire(unsigned producer_idx, const sim::Retired& retired)
     LBA_ASSERT(producer_idx < producers_.size(), "bad producer index");
     // Flush boundary: consume everything the previous interval logged
     // before this retirement's drain check and cache accesses — the
-    // point the per-record path had consumed them by.
+    // point log-time consumption had consumed them by.
     flushPending();
     Producer& producer = producers_[producer_idx];
     if (producer.pending_drain) {

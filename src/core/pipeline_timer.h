@@ -38,45 +38,51 @@
  *
  * Dispatch tiers (LbaConfig::dispatch_tier). The recurrence above is
  * *what* is computed; the tier changes only *how* (and when) the host
- * computes it. kPerRecord consumes each record the moment it is
- * logged, through the lifeguard's handler table
- * (DispatchEngine::consume) — the reference the batching tiers are
- * tested against. kBatched (the default) queues records as they are
- * logged and drains them at the next flush boundary — the following
- * retirement (before its drain check and cache accesses), a
- * containment drain, a slot-reservation squeeze that the ring's known
- * finish times cannot cover, or end of run — first running every
- * queued handler in arrival order through the same handler tables
- * (DispatchEngine::consumeBatch), then folding the per-record costs
- * into the recurrence in the same order. Because every flush boundary
- * precedes the next application-core cache access, the shared-L2
- * access interleaving is exactly the per-record path's, making the
- * tiers cycle-identical (tests/dispatch_batch_test.cpp); only *when*
- * records are consumed differs. kFused
- * drains the same flush batches through each lifeguard's *compiled*
- * handler IR (lifeguard/compiler.h): same-event-type runs execute in
- * specialized loops with the shadow cost accounting inlined — no
- * virtual call, no per-record table lookup — and lifeguards without an
- * IR description fall back to kBatched per engine, transparently
- * (tests/dispatch_fused_test.cpp asserts the three-way cycle
- * identity).
+ * computes it. Serial kBatched (the default) consumes each record at
+ * log time, through the lifeguard's handler table
+ * (DispatchEngine::consume), and folds its cost into the recurrence at
+ * once — the reference every other path is tested against. Records
+ * queue only where a flush has work to do: under threaded execution
+ * (below) and on the fused tier. A queue drains at the next flush
+ * boundary — the following retirement (before its drain check and
+ * cache accesses), a containment drain, a slot-reservation squeeze
+ * that the ring's known finish times cannot cover, or end of run —
+ * first running every queued handler in arrival order, then folding
+ * the per-record costs into the recurrence in the same order. Because
+ * every flush boundary precedes the next application-core cache
+ * access, the shared-L2 access interleaving is exactly the log-time
+ * path's; only *when* records are consumed differs. kFused drains its
+ * queue through each lifeguard's *compiled* handler IR
+ * (lifeguard/compiler.h): same-event-type runs execute in specialized
+ * loops with the shadow cost accounting inlined — no virtual call, no
+ * per-record table lookup — and lifeguards without an IR description
+ * fall back to the handler table per engine, transparently
+ * (tests/dispatch_fused_test.cpp asserts the cycle identity).
  *
  * Threaded execution (LbaConfig::execution = kThreaded). Handlers run
  * on real host threads — one worker per lane (ThreadedExecutor) — and
  * every simulated cycle count stays bit-identical to serial execution.
- * The flush splits in two: phase 1 fans the queued per-engine runs out
- * to the workers, which execute handlers against their lifeguards'
- * private state while *recording* costs (instruction counts and the
- * ordered metadata accesses) into DeferredBatch scratch instead of
- * charging the shared cache hierarchy; phase 2, back on the
- * coordinating thread after the round barrier, replays the recorded
- * accesses through the hierarchy in global arrival order — the exact
- * interleaving the serial flush charges — and folds the costs into the
- * recurrence. Flush boundaries are therefore cross-thread barriers;
- * between them, only workers touch lifeguard state and only the
- * coordinator touches the timer. tests/threaded_test.cpp asserts the
- * cycle identity across serial/shards/pool/containment configurations;
- * docs/ARCHITECTURE.md "Threaded execution" gives the full argument.
+ * Records queue on both tiers, and the flush splits in two: phase 1
+ * fans the queued per-engine runs out to the workers, which execute
+ * handlers against their lifeguards' private state while *recording*
+ * costs (instruction counts and the ordered metadata accesses) into
+ * DeferredBatch scratch instead of charging the shared cache
+ * hierarchy; phase 2, back on the coordinating thread after the round
+ * barrier, replays the recorded accesses through the hierarchy in
+ * global arrival order — the exact interleaving serial execution
+ * charges — and folds the costs into the recurrence. Flush boundaries
+ * are therefore cross-thread barriers; between them, only workers touch
+ * lifeguard state and only the coordinator touches the timer.
+ * tests/threaded_test.cpp asserts the cycle identity across
+ * serial/shards/pool/containment configurations; docs/ARCHITECTURE.md
+ * "Threaded execution" gives the full argument.
+ *
+ * Cache model. Every retirement and every handler metadata access
+ * crosses the shared mem::CacheHierarchy. Each mem::Cache remembers the
+ * way its last access touched, and a repeat access to that line skips
+ * the set scan. The memo is exact: only an access to the same cache can
+ * evict a line, and every access moves the memo, so the line it names
+ * is always resident (flush() clears it). It changes host time only.
  *
  * Delivery. Lanes own no lifeguard: every log() call names its
  * targets, each a (lane, dispatch engine) pair, and the caller owns the
@@ -115,9 +121,10 @@ namespace lba::core {
 
 /**
  * How the host executes lifeguard handlers. Simulated timing is
- * identical either way (the mode changes host threads, not the model);
- * kThreaded requires a batching dispatch tier (kBatched or kFused),
- * whose flush boundaries are the cross-thread barriers.
+ * identical either way (the mode changes host threads, not the model).
+ * Serial execution consumes records at log time (the fused tier
+ * excepted); threaded execution queues them on every tier, because its
+ * flush boundaries are the cross-thread barriers.
  */
 enum class ExecutionMode
 {
@@ -130,23 +137,21 @@ enum class ExecutionMode
 /**
  * How the host dispatches records to lifeguard handlers. Simulated
  * timing is identical across tiers (asserted by
- * tests/dispatch_batch_test.cpp and tests/dispatch_fused_test.cpp);
- * the tier trades host-side dispatch overhead, not model fidelity.
+ * tests/dispatch_fused_test.cpp); the tier trades host-side dispatch
+ * overhead, not model fidelity.
  */
 enum class DispatchTier
 {
-    /** Consume each record the moment it is logged, through the same
-     *  handler table (DispatchEngine::consume): differs from kBatched
-     *  only in *when* records are consumed, which makes it the
-     *  reference the batching tiers are tested against. */
-    kPerRecord,
-    /** Queue and drain at flush boundaries through the handler table
-     *  (DispatchEngine::consumeBatch). The default. */
+    /** Through the handler table. Serial execution consumes each
+     *  record at log time (DispatchEngine::consume); threaded execution
+     *  queues records and drains them at flush boundaries
+     *  (DispatchEngine::consumeBatchDeferred). The default. */
     kBatched,
     /** Queue and drain through the compiled handler IR
      *  (DispatchEngine::consumeBatchFused): specialized loops over
      *  same-event-type runs, no virtual call or table lookup. Engines
-     *  whose lifeguard has no IR description fall back to kBatched. */
+     *  whose lifeguard has no IR description fall back to the handler
+     *  table. */
     kFused,
 };
 
@@ -184,23 +189,22 @@ struct LbaConfig
     /** Record size on the transport when compression is disabled. */
     unsigned raw_record_bytes = 24;
     /**
-     * Dispatch tier (see DispatchTier and the file comment). The
-     * batching tiers (kBatched, kFused) queue records as they are
-     * logged and drain them at the next flush boundary: the following
+     * Dispatch tier (see DispatchTier and the file comment). Serial
+     * kBatched consumes each record at log time. kFused, and either
+     * tier under threaded execution, queue records as they are logged
+     * and drain them at the next flush boundary: the following
      * retirement, a containment drain, a slot-reservation squeeze the
      * ring's known finish times cannot cover, or end of run. Every
-     * flush boundary precedes the next
-     * application-core cache access, so the cache-access interleaving —
-     * and therefore every cycle count — is identical to the kPerRecord
-     * path, which consumes each record immediately through the same
-     * handler table (asserted by tests/dispatch_batch_test.cpp and
-     * tests/dispatch_fused_test.cpp).
+     * flush boundary precedes the next application-core cache access,
+     * so the cache-access interleaving — and therefore every cycle
+     * count — is identical to log-time consumption (asserted by
+     * tests/dispatch_fused_test.cpp and tests/threaded_test.cpp).
      */
     DispatchTier dispatch_tier = DispatchTier::kBatched;
     /**
      * Host execution mode (kThreaded = one worker thread per lane,
      * cycle-identical to kSerial; see the file comment). Threaded
-     * execution requires a batching dispatch tier.
+     * execution queues records on either dispatch tier.
      */
     ExecutionMode execution = ExecutionMode::kSerial;
 };
@@ -332,8 +336,8 @@ class PipelineTimer
         LBA_COORDINATOR_ONLY;
 
     /**
-     * Drain the deferred batched-dispatch queue now (no-op on the
-     * per-record path and at every natural flush boundary). External
+     * Drain the deferred dispatch queue now (no-op when records are
+     * consumed at log time and at every natural flush boundary). External
      * drivers call this before inspecting mid-run lifeguard state —
      * e.g. the containment manager before checking findings, and the
      * pool at slice boundaries so scheduling sees up-to-date lag.
@@ -483,7 +487,7 @@ class PipelineTimer
         double transport_bytes = 0.0;
         Cycles transport_wait_cycles = 0;
         std::uint64_t records = 0;
-        /** Records queued for batched dispatch but not yet consumed. */
+        /** Records queued for a flush but not yet consumed. */
         std::size_t pending = 0;
         /** Peak of slots.size() + pending. */
         std::uint64_t max_occupancy = 0;
@@ -523,8 +527,8 @@ class PipelineTimer
 
     /**
      * Deliver one record to one lane (its slot is already reserved):
-     * either consume it immediately (per-record path) or queue it for
-     * the next batched flush.
+     * consume it now (serial execution, handler table) or queue it for
+     * the next flush (threaded execution, or the fused tier).
      */
     void consumeOn(Producer& producer, Lane& lane,
                    lifeguard::DispatchEngine& engine,
@@ -576,7 +580,7 @@ class PipelineTimer
     std::vector<Lane> lanes_;
     std::vector<Producer> producers_;
 
-    /** Deferred batched dispatch: records awaiting consumption, in
+    /** Deferred dispatch: records awaiting consumption, in
      *  arrival order (contiguous so engine runs batch directly). */
     std::vector<log::EventRecord> pending_records_
         LBA_GUARDED_BY(::lba::threading::coordinator_role);

@@ -68,7 +68,7 @@ struct CompiledDispatch
  * Lower @p ir against @p lifeguard's sealed handler table. Asserts
  * that the description and the table cover exactly the same event
  * types — a described-but-unregistered (or registered-but-undescribed)
- * type would make the fused tier diverge from the per-record tier,
+ * type would make the fused tier diverge from the handler table,
  * which is the one invariant this subsystem must never break.
  *
  * Coordinator-only: runs at engine construction, before any record

@@ -11,17 +11,18 @@
  * pipelines with the previous handler; we charge a small fixed dispatch
  * cost per record (default 1 cycle).
  *
- * Host-side dispatch mirrors that table, in three tiers, all reading
+ * Host-side dispatch mirrors that table, in two tiers, both reading
  * the lifeguard's one handler table (Lifeguard::handlers()): a
  * registered handler is entered directly, an unregistered event type
- * costs dispatch cycles only. consume() dispatches one record; the
- * batched tier (consumeBatch) drains whole record spans through it;
- * the fused tier (consumeBatchFused) goes further — when the lifeguard
- * describes its handlers as IR (ir.h), the engine lowers the
- * description once at construction (compiler.h) and drains each
- * same-event-type run through a specialized loop with no per-record
- * indirect call at all (lifeguards without an IR description
- * transparently fall back to the batched tier). All tiers charge
+ * costs dispatch cycles only. consume() dispatches one record (the
+ * batched tier, serial: each record as it is logged); consumeBatch
+ * drains whole record spans through it; the fused tier
+ * (consumeBatchFused) goes further — when the lifeguard describes its
+ * handlers as IR (ir.h), the engine lowers the description once at
+ * construction (compiler.h) and drains each same-event-type run
+ * through a specialized loop with no per-record indirect call at all
+ * (lifeguards without an IR description transparently fall back to
+ * consumeBatch). Both tiers charge
  * identical simulated cycles for the same record stream; only host
  * speed differs (bench/micro_dispatch.cc,
  * tests/dispatch_fused_test.cpp).

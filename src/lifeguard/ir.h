@@ -31,7 +31,7 @@
  *
  * Cost identity is by construction: lifeguards write each handler body
  * ONCE as a template over the cost accumulator and instantiate it for
- * the virtual CostSink path (per-record and batched tiers), for
+ * the virtual CostSink path (the batched tier), for
  * DirectCost (fused serial tier) and for DeferredCost (fused threaded
  * tier). DispatchEngine's own CostSinks are adapters over these same
  * two accumulators (CostSinkOf, dispatch.h), so every tier charges

@@ -144,9 +144,8 @@ LockSet::LockSet(const LockSetConfig& config)
 std::uint32_t
 LockSet::threadLockset(ThreadId tid) const
 {
-    auto it = thread_locks_.find(tid);
-    return it == thread_locks_.end() ? LocksetTable::kEmpty
-                                     : it->second.id;
+    const ThreadLocks* tl = thread_locks_.find(tid);
+    return tl ? tl->id : LocksetTable::kEmpty;
 }
 
 LockSet::State

@@ -20,10 +20,10 @@
  */
 
 #include <map>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
@@ -158,7 +158,9 @@ class LockSet : public lifeguard::Lifeguard
     lifeguard::ir::LifeguardIR ir_;
     LocksetTable table_;
     lifeguard::ShadowMemory<Granule, 8> granules_;
-    std::unordered_map<ThreadId, ThreadLocks> thread_locks_;
+    /** Per-thread held locks. A reference into it is invalidated by
+     *  the next insertion. */
+    FlatMap<ThreadId, ThreadLocks> thread_locks_;
     std::unordered_set<std::uint64_t> reported_;
 };
 

@@ -67,8 +67,8 @@ TaintCheck::TaintCheck(const TaintCheckConfig& config)
 bool
 TaintCheck::regBit(ThreadId tid, RegIndex reg) const
 {
-    auto it = reg_taint_.find(tid);
-    return it != reg_taint_.end() && ((it->second >> reg) & 1u);
+    const std::uint32_t* mask = reg_taint_.find(tid);
+    return mask && ((*mask >> reg) & 1u);
 }
 
 void

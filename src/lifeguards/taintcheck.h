@@ -12,9 +12,9 @@
  * indirect jumps/calls and returns check.
  */
 
-#include <unordered_map>
 #include <unordered_set>
 
+#include "common/flat_map.h"
 #include "lifeguard/ir.h"
 #include "lifeguard/lifeguard.h"
 #include "lifeguard/shadow_memory.h"
@@ -100,8 +100,9 @@ class TaintCheck : public lifeguard::Lifeguard
     lifeguard::ir::LifeguardIR ir_;
     /** Bit i of entry(g) set => byte g*8+i is tainted. */
     lifeguard::ShadowMemory<std::uint8_t, 8> taint_;
-    /** Per-thread register taint bitmask (bit per register). */
-    std::unordered_map<ThreadId, std::uint32_t> reg_taint_;
+    /** Per-thread register taint bitmask (bit per register). A
+     *  reference into it is invalidated by the next insertion. */
+    FlatMap<ThreadId, std::uint32_t> reg_taint_;
     /** pcs already reported (dedupe). */
     std::unordered_set<Addr> reported_;
 };

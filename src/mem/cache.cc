@@ -34,11 +34,23 @@ bool
 Cache::access(Addr addr, bool is_write)
 {
     std::uint64_t line_addr = addr >> line_shift_;
+    ++tick_;
+    if (line_addr == memo_line_ && memo_valid_) {
+        // Same line as the last access: still resident in the memo'd
+        // way, so this is the hit the scan below would find.
+        Line& line = lines_[memo_way_];
+        line.lru_tick = tick_;
+        line.dirty = line.dirty || is_write;
+        ++stats_.hits;
+        return true;
+    }
     std::size_t set = static_cast<std::size_t>(line_addr) & (sets_ - 1);
     std::uint64_t tag = line_addr >> std::countr_zero(sets_);
-    Line* base = &lines_[set * config_.associativity];
+    std::size_t first = set * config_.associativity;
+    Line* base = &lines_[first];
+    memo_line_ = line_addr;
+    memo_valid_ = true;
 
-    ++tick_;
     Line* victim = base;
     for (std::size_t w = 0; w < config_.associativity; ++w) {
         Line& line = base[w];
@@ -46,6 +58,7 @@ Cache::access(Addr addr, bool is_write)
             line.lru_tick = tick_;
             line.dirty = line.dirty || is_write;
             ++stats_.hits;
+            memo_way_ = first + w;
             return true;
         }
         if (!line.valid) {
@@ -64,6 +77,7 @@ Cache::access(Addr addr, bool is_write)
     victim->tag = tag;
     victim->lru_tick = tick_;
     victim->dirty = is_write;
+    memo_way_ = static_cast<std::size_t>(victim - lines_.data());
     return false;
 }
 
@@ -87,6 +101,7 @@ Cache::flush()
         line = Line{};
     }
     tick_ = 0;
+    memo_valid_ = false;
 }
 
 } // namespace lba::mem

@@ -7,6 +7,14 @@
  * account hits and misses for the timing model, matching the paper's
  * single-CPI in-order cores with 16KB split L1s and a 512KB shared L2.
  * Write policy is write-back / write-allocate with true-LRU replacement.
+ *
+ * Each cache remembers the way its last access touched. The next
+ * access to the same line takes the hit path without scanning the set:
+ * that line is still resident (only an access to this cache can evict
+ * it, and that access would have moved the memo), so the shortcut makes
+ * exactly the tick, LRU, dirty-bit and hit-count updates the scan would
+ * make. flush() forgets the memo. Runs on one line are the common case
+ * for instruction fetch and for a handler's metadata accesses.
  */
 
 #include <cstdint>
@@ -68,7 +76,8 @@ class Cache
     /** True if the line containing @p addr is currently present. */
     bool probe(Addr addr) const;
 
-    /** Invalidate every line and reset LRU state (keeps stats). */
+    /** Invalidate every line, reset LRU state and forget the
+     *  last-line memo (keeps stats). */
     void flush();
 
     const CacheConfig& config() const { return config_; }
@@ -91,6 +100,12 @@ class Cache
     unsigned line_shift_;
     std::vector<Line> lines_; // sets_ * associativity, row-major by set
     std::uint64_t tick_ = 0;
+    /** Last-line memo: the line address of the last access and the
+     *  index into lines_ of the way it touched. An index, not a
+     *  pointer, so a copied Cache keeps a memo into its own lines. */
+    std::uint64_t memo_line_ = 0;
+    std::size_t memo_way_ = 0;
+    bool memo_valid_ = false;
     CacheStats stats_;
 };
 

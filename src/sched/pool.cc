@@ -374,9 +374,9 @@ LifeguardPool::run()
                                  tenant.manager.get())
                            : this;
         tenant.run_result = tenant.process->run(observer);
-        // Catch up any batch-deferred consumption so this slice's lag
-        // window (fed by the consume observer) is complete before the
-        // scheduler reads it — the per-record path had consumed these
+        // Catch up any queued consumption so this slice's lag window
+        // (fed by the consume observer) is complete before the
+        // scheduler reads it — log-time consumption had consumed these
         // records by now, and steal decisions must not depend on the
         // dispatch mode.
         timer_->sync();

@@ -3,8 +3,10 @@
  * Differential proof for the two MTE-cost-profile lifeguards:
  * BoundsCheck (constant-cost tag probes) and MemLeak (long-lived
  * shadow state plus decay sweeps) must be cycle-identical — every
- * stat, every finding — across the three dispatch tiers (per-record,
- * batched, fused), across serial vs threaded host execution, across
+ * stat, every finding — across the two dispatch tiers (batched, which
+ * consumes each record as it is logged when serial, and fused, which
+ * queues records for flush boundaries), across serial vs threaded host
+ * execution, across
  * the parallel system with shards in {1, 2, 4}, on a one-tenant pool,
  * and under a containment run that actually rewinds. Mirrors
  * tests/dispatch_fused_test.cpp for the new guards, on the
@@ -96,7 +98,7 @@ expectFindingsEqual(const std::vector<lifeguard::Finding>& fused,
     }
 }
 
-/** Serial LBA: fused vs batched vs per-record on the same config. */
+/** Serial LBA: fused (queued) vs batched (log-time) on one config. */
 void
 expectSerialIdentical(const workload::GeneratedProgram& gen,
                       const LifeguardFactory& factory, LbaConfig lba)
@@ -106,15 +108,10 @@ expectSerialIdentical(const workload::GeneratedProgram& gen,
     PlatformResult fused = exp.runLba(factory, lba);
     lba.dispatch_tier = DispatchTier::kBatched;
     PlatformResult batched = exp.runLba(factory, lba);
-    lba.dispatch_tier = DispatchTier::kPerRecord;
-    PlatformResult record = exp.runLba(factory, lba);
 
     EXPECT_EQ(fused.cycles, batched.cycles);
-    EXPECT_EQ(fused.cycles, record.cycles);
     expectStatsEqual(fused.lba, batched.lba);
-    expectStatsEqual(fused.lba, record.lba);
     expectFindingsEqual(fused.findings, batched.findings);
-    expectFindingsEqual(fused.findings, record.findings);
 }
 
 TEST(BoundsMemLeak, SerialBoundsOnRequestServing)
@@ -238,15 +235,15 @@ TEST_P(BoundsMemLeakParallel, ThreadedExecutionIdentical)
     PlatformResult threaded = exp.runLba(factory(), lba);
     lba.execution = ExecutionMode::kSerial;
     PlatformResult serial = exp.runLba(factory(), lba);
-    lba.dispatch_tier = DispatchTier::kPerRecord;
-    PlatformResult record = exp.runLba(factory(), lba);
+    lba.dispatch_tier = DispatchTier::kBatched;
+    PlatformResult batched = exp.runLba(factory(), lba);
 
     EXPECT_EQ(threaded.cycles, serial.cycles);
-    EXPECT_EQ(threaded.cycles, record.cycles);
+    EXPECT_EQ(threaded.cycles, batched.cycles);
     expectStatsEqual(threaded.lba, serial.lba);
-    expectStatsEqual(threaded.lba, record.lba);
+    expectStatsEqual(threaded.lba, batched.lba);
     expectFindingsEqual(threaded.findings, serial.findings);
-    expectFindingsEqual(threaded.findings, record.findings);
+    expectFindingsEqual(threaded.findings, batched.findings);
 }
 
 INSTANTIATE_TEST_SUITE_P(BothGuards, BoundsMemLeakParallel,

@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential proof of the fused dispatch tier: for the same program
- * and configuration, `dispatch_tier = kFused` (record runs drained
- * through compiled handler IR — lifeguard/compiler.h) must be
- * cycle-identical — every stat, every finding — to both `kBatched`
- * (the handler-table tier) and `kPerRecord` (immediate consumption
- * through the same table), across the serial system, the parallel
- * system with shards in {1, 2, 4}, a one-tenant pool, a containment
- * run that actually rewinds, and threaded host execution. This is the
- * invariant that makes the fastest tier safe: any model drift between
- * the compiled loops and the handler bodies is a test failure here,
- * not a silent fork.
+ * and configuration, `dispatch_tier = kFused` (records queued and
+ * drained at flush boundaries through compiled handler IR —
+ * lifeguard/compiler.h) must be cycle-identical — every stat, every
+ * finding — to `kBatched` (serial: each record consumed through the
+ * handler table as it is logged), across the serial system, the
+ * parallel system with shards in {1, 2, 4}, a one-tenant pool, a
+ * containment run that actually rewinds, and threaded host execution.
+ * This is the invariant that makes the fastest tier safe, and moving
+ * flush boundaries with it: any model drift between the compiled loops
+ * and the handler bodies, or between queued and immediate consumption,
+ * is a test failure here, not a silent fork.
  */
 
 #include <gtest/gtest.h>
@@ -80,7 +81,7 @@ expectFindingsEqual(const std::vector<lifeguard::Finding>& fused,
     }
 }
 
-/** Serial LBA: fused vs batched vs per-record on the same config. */
+/** Serial LBA: fused (queued) vs batched (log-time) on one config. */
 void
 expectSerialIdentical(const workload::GeneratedProgram& gen,
                       const LifeguardFactory& factory, LbaConfig lba)
@@ -90,15 +91,10 @@ expectSerialIdentical(const workload::GeneratedProgram& gen,
     PlatformResult fused = exp.runLba(factory, lba);
     lba.dispatch_tier = DispatchTier::kBatched;
     PlatformResult batched = exp.runLba(factory, lba);
-    lba.dispatch_tier = DispatchTier::kPerRecord;
-    PlatformResult record = exp.runLba(factory, lba);
 
     EXPECT_EQ(fused.cycles, batched.cycles);
-    EXPECT_EQ(fused.cycles, record.cycles);
     expectStatsEqual(fused.lba, batched.lba);
-    expectStatsEqual(fused.lba, record.lba);
     expectFindingsEqual(fused.findings, batched.findings);
-    expectFindingsEqual(fused.findings, record.findings);
 }
 
 TEST(DispatchFused, SerialAddrCheckDefaultConfig)
@@ -243,7 +239,7 @@ TEST(DispatchFused, ThreadedExecutionIdentical)
 {
     // The deferred-execute variant: fused drains on worker threads
     // (consumeBatchFusedDeferred) must replay to the same cycles as
-    // serial fused — and as the serial per-record reference.
+    // serial fused — and as serial batched, which consumes at log time.
     auto gen = makeProgram("bc", 40000, /*with_bugs=*/true);
     Experiment exp(gen.program);
     LbaConfig lba;
@@ -252,15 +248,15 @@ TEST(DispatchFused, ThreadedExecutionIdentical)
     PlatformResult threaded = exp.runLba(addrcheck(), lba);
     lba.execution = ExecutionMode::kSerial;
     PlatformResult serial = exp.runLba(addrcheck(), lba);
-    lba.dispatch_tier = DispatchTier::kPerRecord;
-    PlatformResult record = exp.runLba(addrcheck(), lba);
+    lba.dispatch_tier = DispatchTier::kBatched;
+    PlatformResult batched = exp.runLba(addrcheck(), lba);
 
     EXPECT_EQ(threaded.cycles, serial.cycles);
-    EXPECT_EQ(threaded.cycles, record.cycles);
+    EXPECT_EQ(threaded.cycles, batched.cycles);
     expectStatsEqual(threaded.lba, serial.lba);
-    expectStatsEqual(threaded.lba, record.lba);
+    expectStatsEqual(threaded.lba, batched.lba);
     expectFindingsEqual(threaded.findings, serial.findings);
-    expectFindingsEqual(threaded.findings, record.findings);
+    expectFindingsEqual(threaded.findings, batched.findings);
 }
 
 /** Table-style lifeguard without an IR description (fallback check). */

@@ -1,11 +1,14 @@
 /**
  * @file
  * Tests for sparse memory and the cache/hierarchy timing models,
- * including an LRU-correctness property check against a reference model.
+ * including LRU-correctness property checks against a reference model
+ * (a uniform stream, and a locality stream that exercises the cache's
+ * last-line memo).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <list>
 
 #include "mem/cache.h"
@@ -248,6 +251,102 @@ TEST_P(LruProperty, MatchesReferenceModel)
         bool hit = cache.access(addr, false);
         ASSERT_EQ(hit, ref_hit) << "access " << i << " addr " << addr;
     }
+}
+
+TEST_P(LruProperty, LocalityStreamMatchesReferenceModel)
+{
+    // The uniform stream above almost never touches one line twice in
+    // a row, so it cannot see the last-line memo. This stream mixes
+    // runs on one line, a hot set that overfills one cache set, stores
+    // and cold random accesses, and flushes once between two accesses
+    // to the same line; every access is checked for hit or miss, and
+    // evictions and writebacks against a model with dirty bits.
+    auto [size_kb, assoc] = GetParam();
+    CacheConfig cfg{"t", static_cast<std::size_t>(size_kb) * 1024, 64,
+                    static_cast<std::size_t>(assoc)};
+    Cache cache(cfg);
+    const std::size_t sets = cache.numSets();
+
+    // Reference: per-set (line, dirty) list, most recent first.
+    struct RefLine
+    {
+        std::uint64_t line;
+        bool dirty;
+    };
+    std::vector<std::list<RefLine>> ref(sets);
+    std::uint64_t evictions = 0;
+    std::uint64_t writebacks = 0;
+
+    // Hot set: two more lines in set 3 than it has ways, so the hot
+    // set keeps evicting itself, plus two lines in other sets.
+    const Addr set_stride = static_cast<Addr>(sets) * 64;
+    std::vector<Addr> hot;
+    for (Addr k = 0; k < cfg.associativity + 2; ++k) {
+        hot.push_back(0x40000 + 3 * 64 + k * set_stride);
+    }
+    hot.push_back(0x80000 + 5 * 64);
+    hot.push_back(0x90000 + 9 * 64);
+
+    std::uint64_t state = 7;
+    auto next = [&state] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        return state;
+    };
+
+    const int kAccesses = 20000;
+    const int kFlushAt = kAccesses / 2;
+    Addr addr = 0;
+    int run_left = 0;
+    for (int i = 0; i < kAccesses; ++i) {
+        if (i == kFlushAt) {
+            // Same line on both sides of the flush: a memo that
+            // survived it would report a hit on an empty cache.
+            cache.flush();
+            for (auto& lru : ref) lru.clear();
+            addr = (addr & ~Addr{63}) | (next() & 63);
+        } else if (run_left > 0) {
+            --run_left; // stay on the line, at another byte
+            addr = (addr & ~Addr{63}) | (next() & 63);
+        } else {
+            std::uint64_t pick = next() % 8;
+            if (pick < 3) {
+                addr = next() % (1 << 22); // cold, 4MB space
+            } else {
+                addr = hot[next() % hot.size()] + (next() & 63);
+            }
+            run_left = static_cast<int>(next() % 6);
+        }
+        const bool is_write = next() % 4 == 0;
+
+        std::uint64_t line = addr >> 6;
+        auto& lru = ref[line & (sets - 1)];
+        auto it = std::find_if(lru.begin(), lru.end(),
+                               [line](const RefLine& l) {
+                                   return l.line == line;
+                               });
+        const bool ref_hit = it != lru.end();
+        RefLine entry{line, is_write};
+        if (ref_hit) {
+            entry.dirty = it->dirty || is_write;
+            lru.erase(it);
+        }
+        lru.push_front(entry);
+        if (lru.size() > cfg.associativity) {
+            ++evictions;
+            if (lru.back().dirty) ++writebacks;
+            lru.pop_back();
+        }
+
+        bool hit = cache.access(addr, is_write);
+        ASSERT_EQ(hit, ref_hit) << "access " << i << " addr " << addr;
+        ASSERT_EQ(cache.stats().evictions, evictions) << "access " << i;
+        ASSERT_EQ(cache.stats().writebacks, writebacks) << "access " << i;
+    }
+    EXPECT_EQ(cache.stats().accesses(),
+              static_cast<std::uint64_t>(kAccesses));
+    EXPECT_GT(writebacks, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

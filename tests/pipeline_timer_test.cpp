@@ -323,10 +323,11 @@ runWrapAround(DispatchTier tier)
 
 TEST(PipelineTimer, FinishRingWrapsWithExactStalls)
 {
-    for (DispatchTier tier :
-         {DispatchTier::kPerRecord, DispatchTier::kBatched}) {
-        SCOPED_TRACE(tier == DispatchTier::kPerRecord ? "per-record"
-                                                      : "batched");
+    // Log-time consumption (batched) and queued consumption (fused:
+    // this lifeguard has no IR, so the queue drains through its handler
+    // table) must wrap identically.
+    for (DispatchTier tier : {DispatchTier::kBatched, DispatchTier::kFused}) {
+        SCOPED_TRACE(tier == DispatchTier::kBatched ? "batched" : "fused");
         WrapObservation seen = runWrapAround(tier);
         // Records finish every 11 cycles (11, 22, ..., 132). Record i
         // waits for the slot record i-3 held to free: records 3, 6, 7,
@@ -403,26 +404,23 @@ TEST(PipelineTimer, SqueezePopsKnownFinishTimesWithoutFlushing)
 {
     // A squeeze frees the lane's oldest slots, whose finish times the
     // ring already holds, so it needs no flush: the retirement's four
-    // records queue as one batch on the batching tiers, while the
-    // stalls stay exactly the per-record path's.
-    SqueezeObservation per_record =
-        runSyscallSqueeze(DispatchTier::kPerRecord);
-    EXPECT_EQ(per_record.records, 24u);
-    EXPECT_EQ(per_record.batches, 0u);
-    EXPECT_GT(per_record.stall, 0u);
-    EXPECT_EQ(per_record.max_occupancy, 4u);
-    for (DispatchTier tier : {DispatchTier::kBatched, DispatchTier::kFused}) {
-        SCOPED_TRACE(tier == DispatchTier::kBatched ? "batched" : "fused");
-        SqueezeObservation seen = runSyscallSqueeze(tier);
-        EXPECT_EQ(seen.stall, per_record.stall);
-        EXPECT_EQ(seen.max_occupancy, per_record.max_occupancy);
-        EXPECT_EQ(seen.last_finish, per_record.last_finish);
-        EXPECT_EQ(seen.records, 24u);
-        // One batch per retirement: 4 records per batch. A flush at
-        // every squeeze would split each full-ring retirement into 4
-        // batches of 1 (21 batches, 1.14 records per batch).
-        EXPECT_EQ(seen.batches, 6u);
-    }
+    // records queue as one batch on the fused tier, while the stalls
+    // stay exactly those of serial batched dispatch, which consumes
+    // each record as it is logged.
+    SqueezeObservation immediate = runSyscallSqueeze(DispatchTier::kBatched);
+    EXPECT_EQ(immediate.records, 24u);
+    EXPECT_EQ(immediate.batches, 0u);
+    EXPECT_GT(immediate.stall, 0u);
+    EXPECT_EQ(immediate.max_occupancy, 4u);
+    SqueezeObservation fused = runSyscallSqueeze(DispatchTier::kFused);
+    EXPECT_EQ(fused.stall, immediate.stall);
+    EXPECT_EQ(fused.max_occupancy, immediate.max_occupancy);
+    EXPECT_EQ(fused.last_finish, immediate.last_finish);
+    EXPECT_EQ(fused.records, 24u);
+    // One batch per retirement: 4 records per batch. A flush at every
+    // squeeze would split each full-ring retirement into 4 batches of
+    // 1 (21 batches, 1.14 records per batch).
+    EXPECT_EQ(fused.batches, 6u);
 }
 
 TEST(PipelineTimer, BroadcastReservesASlotInEveryLane)

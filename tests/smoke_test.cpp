@@ -217,9 +217,11 @@ TEST_F(SmokeTest, LbaRunDispatchTierFlagValidation)
 {
     // Unknown tier names are usage errors (exit 2), in both the
     // `--flag value` and `--flag=value` spellings — never a silent
-    // fall-back to the default tier.
+    // fall-back to the default tier. `per-record` is no longer a tier:
+    // serial batched dispatch consumes each record as it is logged.
     for (const char* spelling :
-         {" --dispatch bogus", " --dispatch=bogus"}) {
+         {" --dispatch bogus", " --dispatch=bogus",
+          " --dispatch per-record", " --dispatch=per-record"}) {
         std::string cmd = std::string(LBA_RUN_PATH) + " gzip addrcheck" +
                           spelling + " >/dev/null 2>&1";
         EXPECT_EQ(runCommand(cmd), 2) << "spelling: " << spelling;
@@ -227,24 +229,21 @@ TEST_F(SmokeTest, LbaRunDispatchTierFlagValidation)
     // Every valid tier runs end-to-end, in both spellings.
     for (const char* spelling :
          {" --dispatch fused", " --dispatch=fused",
-          " --dispatch batched", " --dispatch per-record"}) {
+          " --dispatch batched", " --dispatch=batched"}) {
         std::string cmd = std::string(LBA_RUN_PATH) +
                           " gzip addrcheck --instrs 15000"
                           " --platform lba" +
                           spelling + " >/dev/null 2>&1";
         EXPECT_EQ(runCommand(cmd), 0) << "spelling: " << spelling;
     }
-    // The fused tier composes with threaded host execution...
-    std::string threaded = std::string(LBA_RUN_PATH) +
-                           " gzip addrcheck --instrs 15000"
-                           " --platform lba --dispatch fused"
-                           " --execution threaded >/dev/null 2>&1";
-    EXPECT_EQ(runCommand(threaded), 0);
-    // ...while per-record + threaded stays rejected.
-    std::string per_record = std::string(LBA_RUN_PATH) +
-                             " gzip addrcheck --dispatch per-record"
-                             " --execution threaded >/dev/null 2>&1";
-    EXPECT_EQ(runCommand(per_record), 2);
+    // Both tiers compose with threaded host execution.
+    for (const char* tier : {" --dispatch fused", " --dispatch batched"}) {
+        std::string threaded = std::string(LBA_RUN_PATH) +
+                               " gzip addrcheck --instrs 15000"
+                               " --platform lba --execution threaded" +
+                               tier + " >/dev/null 2>&1";
+        EXPECT_EQ(runCommand(threaded), 0) << "tier: " << tier;
+    }
 }
 
 TEST_F(SmokeTest, LbaTraceMissingArgumentsAreUsageErrors)

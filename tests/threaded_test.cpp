@@ -247,14 +247,17 @@ TEST(ThreadedExecution, ContainmentRewindsIdentically)
 TEST(ThreadedExecution, ThreadedPathActuallyBatches)
 {
     // Sanity: threaded mode flows through consumeBatchDeferred, which
-    // counts batches exactly like consumeBatch — so batches > 0 proves
-    // records really crossed the worker threads, and equality with the
-    // serial count proves the run partitioning is identical.
+    // counts batches exactly like the serial drains — so batches > 0
+    // proves records really crossed the worker threads, and equality
+    // with a serial fused run (the one serial path that queues, with
+    // the same flush boundaries) proves the run partitioning is
+    // identical. Serial batched consumes at log time: no batches.
     auto gen = makeProgram("gzip", 20000);
 
-    auto run = [&](ExecutionMode execution) {
+    auto run = [&](ExecutionMode execution, DispatchTier tier) {
         LbaConfig lba;
         lba.execution = execution;
+        lba.dispatch_tier = tier;
         mem::CacheHierarchy hierarchy(mem::HierarchyConfig{});
         lifeguards::AddrCheck guard;
         LbaSystem system(guard, hierarchy, lba);
@@ -265,9 +268,10 @@ TEST(ThreadedExecution, ThreadedPathActuallyBatches)
         return system.dispatchStats().batches;
     };
 
-    auto threaded = run(ExecutionMode::kThreaded);
+    auto threaded = run(ExecutionMode::kThreaded, DispatchTier::kBatched);
     EXPECT_GT(threaded, 0u);
-    EXPECT_EQ(threaded, run(ExecutionMode::kSerial));
+    EXPECT_EQ(threaded, run(ExecutionMode::kSerial, DispatchTier::kFused));
+    EXPECT_EQ(run(ExecutionMode::kSerial, DispatchTier::kBatched), 0u);
 }
 
 } // namespace

@@ -11,7 +11,7 @@
  *           [--tenants N] [--lanes M] [--sched static|rr|lag]
  *           [--containment abort|skip|patch|quarantine]
  *           [--checkpoint-interval N] [--json PATH]
- *           [--dispatch batched|per-record|fused]
+ *           [--dispatch batched|fused]
  *           [--execution serial|threaded]
  *
  * With --tenants N the benchmark argument may be a comma-separated
@@ -24,16 +24,18 @@
  * their type (anything else is a usage error, exit 2).
  * --containment enables rewind-and-repair containment under the chosen
  * repair policy (src/replay/containment.h). --dispatch selects the
- * lifeguard-core dispatch tier: `batched` (the default) drains records
- * in batches through the per-event-type handler tables, `fused` drains
- * the same batches through compiled handler IR (specialized loops, no
- * per-record table lookup), `per-record` consumes each record the
- * moment it is logged through the same handler tables; all three are
- * cycle-identical by construction (docs/ARCHITECTURE.md). --execution
- * selects the host execution mode: `threaded` runs lifeguard handlers
- * on one worker thread per lane while every simulated cycle count
- * stays bit-identical to `serial` (docs/ARCHITECTURE.md "Threaded
- * execution"); it requires a batching dispatch tier. --json writes a
+ * lifeguard-core dispatch tier: `batched` (the default) runs records
+ * through the per-event-type handler tables, consuming each one as it
+ * is logged; `fused` queues records and drains them in batches through
+ * compiled handler IR (specialized loops, no per-record table lookup);
+ * both are cycle-identical by construction (docs/ARCHITECTURE.md).
+ * --execution selects the host execution mode: `threaded` runs
+ * lifeguard handlers on one worker thread per lane, queuing records
+ * between flush barriers on either tier, while every simulated cycle
+ * count stays bit-identical to `serial` (docs/ARCHITECTURE.md
+ * "Threaded execution"). The cache model's last-line memo skips only a
+ * set scan whose outcome is already known (the line it names is still
+ * resident), so it changes no cycle count either. --json writes a
  * machine-readable copy of the report to PATH.
  */
 
@@ -75,7 +77,7 @@ usage()
         "[--sched static|rr|lag]\n"
         "               [--containment abort|skip|patch|quarantine]\n"
         "               [--checkpoint-interval N] [--json PATH]\n"
-        "               [--dispatch batched|per-record|fused]\n"
+        "               [--dispatch batched|fused]\n"
         "               [--execution serial|threaded]\n");
     return 2;
 }
@@ -379,8 +381,6 @@ main(int argc, char** argv)
     auto parse_dispatch = [&](const std::string& value) {
         if (value == "batched") {
             dispatch_tier = core::DispatchTier::kBatched;
-        } else if (value == "per-record") {
-            dispatch_tier = core::DispatchTier::kPerRecord;
         } else if (value == "fused") {
             dispatch_tier = core::DispatchTier::kFused;
         } else {
@@ -457,14 +457,6 @@ main(int argc, char** argv)
             ok = false;
         }
         if (!ok) return usage();
-    }
-    if (execution == core::ExecutionMode::kThreaded &&
-        dispatch_tier == core::DispatchTier::kPerRecord) {
-        // Threaded execution's cross-thread barriers are the batching
-        // tiers' flush boundaries; the per-record path has none.
-        std::fprintf(stderr, "--execution threaded requires "
-                             "--dispatch batched|fused\n");
-        return usage();
     }
     if (containment.checkpoint_interval > 0 && !containment.enabled) {
         std::fprintf(stderr, "--checkpoint-interval requires "
